@@ -33,6 +33,7 @@ from .invariants import (
     ReducedScalar,
     SetKind,
     embed_full,
+    im_prime_coeffs,
     im_prime_poly,
     im_prime_poly_mp,
     im_prime_poly_slope_at_one,
@@ -99,7 +100,8 @@ __all__ = [
     "check_consistency", "classify", "compat_map", "count_im",
     "count_im_prime", "csv_text", "describe", "embed_full", "finite_difference",
     "finite_volume_log_weight",
-    "finite_volume_weight", "hamiltonian", "im_prime_poly", "im_prime_poly_mp",
+    "finite_volume_weight", "hamiltonian", "im_prime_coeffs", "im_prime_poly",
+    "im_prime_poly_mp",
     "im_prime_poly_slope_at_one", "im_prime_system_residual", "mobius_deriv",
     "mobius_map", "mobius_pow_k", "orbit_expand", "parse_set_spec",
     "period2_residual", "read_csv", "recover_t_from_z", "refine",

@@ -25,9 +25,9 @@ from .model import ModelParams
 from .oracle import build_tree, check_consistency
 from .solver import SolverConfig
 from .sweep import (
-    _rows_for,
     parse_set_spec,
     read_csv,
+    rows_for,
     run_sweep,
     solve_set,
     write_bifurcation_svg,
@@ -40,6 +40,9 @@ EXIT_REGIME = 2
 EXIT_BUDGET = 3
 EXIT_USAGE = 64
 EXIT_IO = 74
+
+_GRID_HELP = ("scan grid points for block sets (im:<m>); "
+              "mirror sets are solved exactly and use no grid")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -106,7 +109,7 @@ def cmd_solve(args, parser) -> int:
     config = _solver_config(args)
     rows = []
     for set_id in parse_set_spec(args.set, args.q):
-        rows.extend(_rows_for(params, set_id, config))
+        rows.extend(rows_for(params, set_id, config))
     if args.out:
         write_csv(rows, args.out)
     if args.json:
@@ -201,7 +204,7 @@ def build_parser() -> _Parser:
     _add_model_args(p_solve)
     p_solve.add_argument("--set", default="all",
                          help="invariant set: im:<m>, imprime:<m>, or all")
-    p_solve.add_argument("--grid", type=int, default=None, help="scan grid points")
+    p_solve.add_argument("--grid", type=int, default=None, help=_GRID_HELP)
     p_solve.add_argument("--out", default=None, help="also write solutions as CSV")
     p_solve.add_argument("--json", action="store_true", help="machine-readable output")
     p_solve.set_defaults(func=cmd_solve)
@@ -215,7 +218,7 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--set", default="all")
     p_sweep.add_argument("--out", required=True, help="output CSV path")
     p_sweep.add_argument("--svg", default=None, help="optional SVG plot path")
-    p_sweep.add_argument("--grid", type=int, default=None)
+    p_sweep.add_argument("--grid", type=int, default=None, help=_GRID_HELP)
     p_sweep.add_argument("--json", action="store_true")
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -232,7 +235,7 @@ def build_parser() -> _Parser:
                           help="ball depth for the enumeration (default 2)")
     p_verify.add_argument("--tol", type=float, default=1e-8)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--grid", type=int, default=None)
+    p_verify.add_argument("--grid", type=int, default=None, help=_GRID_HELP)
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
 

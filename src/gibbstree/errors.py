@@ -26,7 +26,11 @@ class SelectorSyntaxError(ParameterError):
 
 
 class ConvergenceError(GibbsTreeError):
-    """Root refinement did not converge within the iteration budget."""
+    """A root solver could not finish.
+
+    Either bracket refinement ran out of its iteration budget, or a mirror
+    polynomial could not be certified squarefree.
+    """
 
 
 class BudgetError(GibbsTreeError):

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -218,6 +219,51 @@ def im_prime_poly_mp(z, params: ModelParams, m: int, dps: int = _POLY_DPS):
     with mp.workdps(dps):
         b1, b2, qfac, pfac = _poly_terms(z, params, m)
         return b1 ** params.k * qfac - b2 ** params.k * pfac
+
+
+def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return out
+
+
+def im_prime_coeffs(params: ModelParams, m: int) -> list[int]:
+    """Exact integer coefficients of D^(k+1) p(z), lowest degree first.
+
+    theta is a float, hence an exact dyadic rational A/D.  Each of the four
+    factors of im_prime_poly is scaled by D, so their products expand in
+    integer arithmetic with no rounding.  The degree is k(k+1)+1; for odd k
+    the top coefficient cancels and is trimmed, leaving degree k(k+1).
+    """
+    _check_mirror_args(params, m)
+    q, k = params.q, params.k
+    theta = Fraction(params.theta)
+    a, d = theta.numerator, theta.denominator
+    b1 = [0] * (k + 2)
+    b1[0] += (q - 2 * m) * d
+    b1[1] += m * d
+    b1[k] += a + (2 * m - 1) * d
+    b1[k + 1] += -m * d
+    b2 = [0] * (k + 1)
+    b2[0] += a + (q - m - 1) * d
+    b2[k] += m * d
+    qfac = [a + (m - 1) * d, -m * d]
+    pfac = [0] * (k + 2)
+    pfac[0] += -(q - 2 * m) * d
+    pfac[1] += a + (q - 2 * m - 1) * d
+    pfac[k] += -m * d
+    pfac[k + 1] += m * d
+    b1k, b2k = [1], [1]
+    for _ in range(k):
+        b1k, b2k = _poly_mul(b1k, b1), _poly_mul(b2k, b2)
+    left, right = _poly_mul(b1k, qfac), _poly_mul(b2k, pfac)
+    coeffs = [u - v for u, v in zip(left, right)]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
 
 
 def im_prime_poly_slope_at_one(params: ModelParams) -> float:

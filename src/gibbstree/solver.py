@@ -1,15 +1,24 @@
-"""Bracketing root solvers for the scalar block and mirror systems.
+"""Root solvers for the scalar block and mirror systems.
 
-Both solvers follow the same recipe: scan a covering interval on a dense
-grid for strict sign changes, refine each bracket by guarded bisection, seed
-the always-present unit solution explicitly (it can land exactly on a grid
-node, where a strict sign test goes blind), merge near-duplicates, and embed
-every surviving root back into the full field system.
+The block solver scans a covering interval on a dense grid for strict sign
+changes of the two-step gap, refines each bracket by guarded bisection,
+seeds the always-present unit solution explicitly (it can land exactly on a
+grid node, where a strict sign test goes blind) and merges near-duplicates.
+
+The mirror solver works on the exact integer coefficients of the mirror
+polynomial (theta is a float, hence a dyadic rational).  It divides out the
+known root z = 1, certifies the quotient squarefree modulo a prime,
+isolates every positive root by Descartes' rule of signs with bisection,
+and shrinks each isolating interval on the exact sign to adjacent floats.
+Its root count is therefore exact and independent of any grid.
+
+Both solvers embed every surviving root back into the full field system.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -20,7 +29,8 @@ from .invariants import (
     ReducedScalar,
     SetKind,
     embed_full,
-    im_prime_poly,
+    im_prime_coeffs,
+    im_prime_poly,  # noqa: F401  unused; perfbench/tracing.py counts its calls here
     im_prime_poly_mp,
     im_prime_system_residual,
     mobius_deriv,
@@ -113,6 +123,9 @@ def refine(fn, bracket: Bracket, config: SolverConfig | None = None) -> float:
         if hi - lo <= 2.0 * config.refine_tol:
             return 0.5 * (lo + hi)
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            # lo and hi are adjacent floats: no float lies strictly between
+            return mid
         if use_secant and math.isfinite(f_lo) and math.isfinite(f_hi) and f_hi != f_lo:
             cand = lo - f_lo * (hi - lo) / (f_hi - f_lo)
             if lo + config.refine_tol < cand < hi - config.refine_tol:
@@ -222,33 +235,174 @@ class RejectedRoot:
     reason: str
 
 
-def _mirror_scan_limit(params: ModelParams, m: int, config: SolverConfig) -> float:
-    """Upper scan bound: doubled until the polynomial stays negative across a doubling."""
-    z = max(2.0, 2.0 * (params.theta + m - 1.0) / m)
-    for _ in range(60):
-        samples = np.linspace(z, 2.0 * z, 33)[1:]
-        if all(im_prime_poly(float(s), params, m) < 0.0 for s in samples):
-            return 2.0 * z
-        z *= 2.0
-    raise ConvergenceError("mirror polynomial did not turn negative within 60 doublings")
+# prime modulus of the squarefree certificate
+_CERT_PRIME = 2 ** 61 - 1
+
+
+def _divide_out_unit_root(coeffs: list[int]) -> list[int]:
+    """Divide (z-1) out of an integer polynomial as often as z = 1 is a root.
+
+    Coefficients are lowest degree first; the division is exact and stays in
+    integers.  At a dyadic theta_critical z = 1 is a triple root.
+    """
+    while sum(coeffs) == 0:
+        quotient = [0] * (len(coeffs) - 1)
+        acc = 0
+        for i in range(len(coeffs) - 1, 0, -1):
+            acc += coeffs[i]
+            quotient[i - 1] = acc
+        coeffs = quotient
+    return coeffs
+
+
+def _poly_rem_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    """Remainder of a by b over GF(p); both trimmed, b nonzero."""
+    a = list(a)
+    inv = pow(b[-1], p - 2, p)
+    while len(a) >= len(b):
+        coef = a[-1] * inv % p
+        shift = len(a) - len(b)
+        for i, bi in enumerate(b[:-1]):
+            a[shift + i] = (a[shift + i] - coef * bi) % p
+        a.pop()
+        while a and a[-1] == 0:
+            a.pop()
+    return a
+
+
+def _require_squarefree(coeffs: list[int]) -> None:
+    """Certify that an integer polynomial has no repeated root.
+
+    gcd(c, c') of degree 0 modulo a prime that does not divide the leading
+    coefficient implies the same over the rationals, because reduction
+    modulo such a prime keeps the degree of every factor.  The bisection in
+    _positive_roots only terminates on squarefree input.
+    """
+    p = _CERT_PRIME
+    if coeffs[-1] % p == 0:
+        raise ConvergenceError("mirror polynomial: leading coefficient vanishes "
+                               "modulo the certificate prime")
+    a = [c % p for c in coeffs]
+    b = [i * c % p for i, c in enumerate(coeffs)][1:]
+    while b and b[-1] == 0:
+        b.pop()
+    while b:
+        a, b = b, _poly_rem_mod(a, b, p)
+    if len(a) > 1:
+        raise ConvergenceError("mirror polynomial is not certified squarefree: "
+                               f"gcd with its derivative has degree {len(a) - 1} "
+                               "modulo the certificate prime")
+
+
+def _taylor_shift_one(coeffs: list[int]) -> list[int]:
+    """Coefficients of c(x + 1), lowest degree first."""
+    a = list(coeffs)
+    n = len(a) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            a[j] += a[j + 1]
+    return a
+
+
+def _sign_variations(coeffs: list[int]) -> int:
+    signs = [c > 0 for c in coeffs if c]
+    return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
+
+
+def _isolate_unit_interval(coeffs: list[int]) -> list[tuple[Fraction, Fraction]]:
+    """Disjoint brackets, each holding exactly one root in (0, 1), ascending.
+
+    Vincent-Collins-Akritas bisection (Collins and Akritas, SYMSAC 1976).
+    The sub-polynomial of a dyadic interval (a, b) has the roots of c in
+    (a, b) at x in (0, 1); by Descartes' rule the sign variations of
+    (1+x)^n c_I(1/(1+x)) bound their number and have its parity, so 0 and 1
+    settle an interval and anything else is halved.  A root landing exactly
+    on a midpoint is returned as a bracket with lo == hi.  Needs squarefree
+    input to terminate.
+    """
+    found = []
+    stack = [(coeffs, 0, 0)]   # sub-polynomial on (num/2^j, (num+1)/2^j)
+    while stack:
+        c, num, j = stack.pop()
+        v = _sign_variations(_taylor_shift_one(c[::-1]))
+        if v == 0:
+            continue
+        if v == 1:
+            found.append((Fraction(num, 2 ** j), Fraction(num + 1, 2 ** j)))
+            continue
+        n = len(c) - 1
+        left = [ci << (n - i) for i, ci in enumerate(c)]   # 2^n c(x/2)
+        right = _taylor_shift_one(left)                    # 2^n c((x+1)/2)
+        if right[0] == 0:
+            mid = Fraction(2 * num + 1, 2 ** (j + 1))
+            found.append((mid, mid))
+            right = right[1:]
+        stack.append((left, 2 * num, j + 1))
+        stack.append((right, 2 * num + 1, j + 1))
+    return sorted(found)
+
+
+def _sign_at(coeffs: list[int], z: Fraction) -> int:
+    """Exact sign of the polynomial at a rational point."""
+    num, den = z.numerator, z.denominator
+    acc, den_pow = coeffs[-1], 1
+    for c in reversed(coeffs[:-1]):
+        den_pow *= den
+        acc = acc * num + c * den_pow
+    return (acc > 0) - (acc < 0)
+
+
+def _shrink_to_float(coeffs: list[int], lo: Fraction, hi: Fraction) -> float:
+    """Bisect a one-root bracket on the exact sign until its ends are adjacent floats."""
+    if lo == hi:
+        return float(lo)
+    # an end can be a root found exactly at a bisection midpoint; the bracket
+    # still holds one more root, so the signs just inside the ends differ
+    s_lo = _sign_at(coeffs, lo) or -_sign_at(coeffs, hi)
+    # terminates: every step halves the set of floats strictly inside
+    while True:
+        mid = 0.5 * (float(lo) + float(hi))
+        fmid = Fraction(mid)
+        if not lo < fmid < hi:
+            return float(lo)
+        s = _sign_at(coeffs, fmid)
+        if s == 0:
+            return mid
+        if s == s_lo:
+            lo = fmid
+        else:
+            hi = fmid
+
+
+def _positive_roots(coeffs: list[int]) -> list[float]:
+    """Every positive root other than z = 1 of a squarefree integer polynomial.
+
+    Roots in (0, 1) are isolated directly; roots in (1, inf) are the
+    reciprocals of the roots in (0, 1) of the reversed polynomial, bounded
+    above by Cauchy's bound.  Each root is returned as a float within one
+    unit in the last place, in ascending order.
+    """
+    brackets = _isolate_unit_interval(coeffs)
+    cauchy = 1 + Fraction(max(abs(c) for c in coeffs[:-1]), abs(coeffs[-1]))
+    for lo, hi in reversed(_isolate_unit_interval(coeffs[::-1])):
+        brackets.append((1 / hi, 1 / lo if lo else cauchy))
+    return [_shrink_to_float(coeffs, lo, hi) for lo, hi in brackets]
 
 
 def solve_im_prime(params: ModelParams, m: int,
-                   config: SolverConfig | None = None,
                    ) -> tuple[list[ReducedScalar], list[RejectedRoot]]:
     """All mirror-pattern solutions, ascending in x, plus rejected polynomial roots.
 
-    Every accepted root z recovers a positive partner t and satisfies the
-    coupled fixed-point system to 1e-9; roots whose partner is complex or
-    nonpositive are reported in the second list with a reason.
+    The positive roots of the mirror polynomial are found and counted
+    exactly from its integer coefficients (see the module docstring), so the
+    count does not depend on any grid.  Every accepted root z recovers a
+    positive partner t and satisfies the coupled fixed-point system to 1e-9;
+    roots whose partner is complex or nonpositive are reported in the second
+    list with a reason.
     """
     params.require_solver_regime()
     set_id = InvariantSetId(SetKind.IM_PRIME, m)
     set_id.validate_for(params.q)
-    config = config or SolverConfig()
-
-    def poly(z: float) -> float:
-        return im_prime_poly(z, params, m)
 
     def polish(z: float) -> float:
         # same log-space consideration as the block solver; the derivative
@@ -271,11 +425,10 @@ def solve_im_prime(params: ModelParams, m: int,
                 zz = cand
             return float(zz)
 
-    hi = _mirror_scan_limit(params, m, config)
-    brackets = scan_sign_changes(poly, 0.0, hi, config, spacing="uniform")
-    roots = [polish(refine(poly, b, config)) for b in brackets]
+    coeffs = _divide_out_unit_root(im_prime_coeffs(params, m))
+    _require_squarefree(coeffs)
+    roots = [polish(z) for z in _positive_roots(coeffs)]
     roots.append(1.0)  # p(1) = 0 exactly
-    roots = dedup_roots(roots, poly, config.dedup_tol)
 
     solutions = []
     rejected = []

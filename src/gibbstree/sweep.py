@@ -56,10 +56,14 @@ class SweepRecord:
 
 def solve_set(params: ModelParams, set_id: InvariantSetId,
               config: SolverConfig | None = None) -> list[ReducedScalar]:
-    """Solve one invariant set, dropping mirror roots that fail to lift."""
+    """Solve one invariant set, dropping mirror roots that fail to lift.
+
+    config tunes the grid scan of block sets; mirror sets are solved from
+    exact polynomial coefficients and use no grid.
+    """
     if set_id.kind is SetKind.IM:
         return solve_im(params, set_id.m, config)
-    solutions, _ = solve_im_prime(params, set_id.m, config)
+    solutions, _ = solve_im_prime(params, set_id.m)
     return solutions
 
 
@@ -85,8 +89,9 @@ def parse_set_spec(spec: str, q: int) -> list[InvariantSetId]:
     return [set_id]
 
 
-def _rows_for(params: ModelParams, set_id: InvariantSetId,
-              config: SolverConfig | None) -> list[SweepRow]:
+def rows_for(params: ModelParams, set_id: InvariantSetId,
+             config: SolverConfig | None = None) -> list[SweepRow]:
+    """Solve one invariant set and flatten its solutions into classified rows."""
     rows = []
     for i, sol in enumerate(solve_set(params, set_id, config)):
         rows.append(SweepRow(
@@ -121,7 +126,7 @@ def sweep_records(q: int, k: int, theta_min: float, theta_max: float, steps: int
             records.append(SweepRecord(
                 theta=params.theta,
                 set_id=set_id,
-                solutions=tuple(_rows_for(params, set_id, config)),
+                solutions=tuple(rows_for(params, set_id, config)),
             ))
     return records
 

@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -14,7 +16,9 @@ from gibbstree import (
     SetKind,
     compat_map,
     embed_full,
+    im_prime_coeffs,
     im_prime_poly,
+    im_prime_poly_mp,
     im_prime_poly_slope_at_one,
     im_prime_system_residual,
     mobius_deriv,
@@ -234,6 +238,54 @@ class TestMirrorPolynomial:
         fd = (im_prime_poly(1.0 + h, p, 1) - im_prime_poly(1.0 - h, p, 1)) / (2 * h)
         norm = (p.theta + p.q - 1.0) ** (p.k - 1)
         assert fd / norm == pytest.approx(im_prime_poly_slope_at_one(p), rel=1e-5)
+
+
+def _eval_exact(coeffs: list[int], z: Fraction) -> Fraction:
+    return sum((c * z ** i for i, c in enumerate(coeffs)), Fraction(0))
+
+
+class TestMirrorCoeffs:
+    def test_matches_high_precision_polynomial(self):
+        # D^(k+1) p(z) with theta = A/D, at random rational z, against the
+        # four-factor form evaluated at 300 digits
+        rng = np.random.default_rng(71)
+        for _ in range(20):
+            p = draw_regime_params(rng)
+            m = int(rng.integers(1, (p.q - 1) // 2 + 1))
+            coeffs = im_prime_coeffs(p, m)
+            d = Fraction(p.theta).denominator
+            z = Fraction(int(rng.integers(1, 4000)), int(rng.integers(1, 1000)))
+            got = _eval_exact(coeffs, z)
+            with mp.workdps(300):
+                zz = mp.mpf(z.numerator) / z.denominator
+                want = im_prime_poly_mp(zz, p, m, dps=300) * mp.mpf(d) ** (p.k + 1)
+                err = abs(mp.mpf(got.numerator) / got.denominator - want)
+                assert err <= mp.mpf(10) ** -250 * abs(want)
+
+    def test_constant_term_closed_form(self):
+        rng = np.random.default_rng(73)
+        for _ in range(30):
+            p = draw_regime_params(rng)
+            m = int(rng.integers(1, (p.q - 1) // 2 + 1))
+            th = Fraction(p.theta)
+            p0 = (p.q - 2 * m) ** p.k * (th + m - 1) + (p.q - 2 * m) * (th + p.q - m - 1) ** p.k
+            assert im_prime_coeffs(p, m)[0] == p0 * th.denominator ** (p.k + 1)
+
+    def test_degree(self):
+        # the top coefficient (-m)^(k+1) - m^(k+1) cancels exactly for odd k
+        rng = np.random.default_rng(79)
+        for _ in range(30):
+            p = draw_regime_params(rng)
+            m = int(rng.integers(1, (p.q - 1) // 2 + 1))
+            expected = p.k * (p.k + 1) + (1 if p.k % 2 == 0 else 0)
+            assert len(im_prime_coeffs(p, m)) - 1 == expected
+
+    def test_unit_root_is_exact(self):
+        rng = np.random.default_rng(83)
+        for _ in range(30):
+            p = draw_regime_params(rng)
+            m = int(rng.integers(1, (p.q - 1) // 2 + 1))
+            assert sum(im_prime_coeffs(p, m)) == 0
 
 
 class TestRecoverT:

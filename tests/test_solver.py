@@ -18,9 +18,19 @@ from gibbstree import (
     scan_sign_changes,
     solve_im,
     solve_im_prime,
+    theta_critical,
     two_step_map,
 )
-from gibbstree.solver import dedup_roots, scan_interval_for_im
+from gibbstree.invariants import im_prime_coeffs
+from gibbstree.solver import (
+    _divide_out_unit_root,
+    _positive_roots,
+    _require_squarefree,
+    dedup_roots,
+    scan_interval_for_im,
+)
+
+from conftest import mirror_roots_by_scan
 
 
 class TestBracketAndConfig:
@@ -118,6 +128,16 @@ class TestRefine:
             refine(fn, b, SolverConfig(refine_tol=1e-12, max_refine_iters=3))
 
 
+    def test_adjacent_floats_end_the_loop(self):
+        # one ulp at 3.4e4 is 7.3e-12, wider than 2*refine_tol, and no float
+        # lies strictly between the ends, so bisection cannot shrink further
+        lo = 33677.46417482146
+        hi = math.nextafter(lo, math.inf)
+        fn = lambda x: -1.0 if x <= lo else 1.0
+        b = Bracket(lo=lo, hi=hi, f_lo=-1.0, f_hi=1.0)
+        assert refine(fn, b, SolverConfig(refine_tol=1e-12)) in (lo, hi)
+
+
 class TestDedup:
     def test_merges_near_duplicates(self):
         fn = lambda x: (x - 1.0) ** 2
@@ -191,6 +211,15 @@ class TestSolveIm:
         sols = solve_im(p33, 1)
         assert sols[0].x == pytest.approx(sols[2].y, abs=1e-9)
         assert sols[2].x == pytest.approx(sols[0].y, abs=1e-9)
+
+    def test_far_root_below_float_spacing(self):
+        # the float spacing at the outer root x ~ 33677.46 is 7.3e-12, wider
+        # than twice the refine tolerance, so refine must stop on adjacent floats
+        p = ModelParams(q=3, k=7, theta=0.1819101633035649)
+        sols = solve_im(p, 2)
+        assert len(sols) == 3
+        assert sols[2].x == pytest.approx(33677.46417482146, rel=1e-12)
+        assert all(s.residual_full <= 1e-9 for s in sols)
 
     def test_at_threshold_contains_unit(self):
         p = ModelParams(q=3, k=3, theta=0.25)
@@ -273,6 +302,91 @@ class TestSolveImPrime:
     def test_index_gate(self, p33):
         with pytest.raises(ParameterError):
             solve_im_prime(p33, 2)
+
+
+def _poly(*factors):
+    """Integer polynomial product of the factors, lowest degree first."""
+    out = [1]
+    for f in factors:
+        out = [sum(out[i] * f[n - i] for i in range(len(out)) if 0 <= n - i < len(f))
+               for n in range(len(out) + len(f) - 1)]
+    return out
+
+
+class TestExactRootIsolation:
+    def test_roots_on_both_sides_of_one(self):
+        # (3z-1)(z-2)(z-5)(z+1): the negative root is ignored
+        roots = _positive_roots(_poly([-1, 3], [-2, 1], [-5, 1], [1, 1]))
+        assert roots == pytest.approx([1 / 3, 2.0, 5.0], rel=1e-15)
+
+    def test_roots_on_bisection_midpoints(self):
+        # 1/2 and 3/4 are bisection points of (0, 1); 2 is 1/(1/2) on the
+        # reversed side; each is found exactly and its neighbour still is
+        c = _poly([-1, 2], [-3, 4], [-7, 1], [1, 1], [-2, 1], [3, 1])
+        assert _positive_roots(c) == [0.5, 0.75, 2.0, 7.0]
+
+    def test_repeated_root_is_refused(self):
+        with pytest.raises(ConvergenceError):
+            _require_squarefree(_poly([-2, 1], [-2, 1], [1, 1]))
+        _require_squarefree(_poly([-2, 1], [-3, 1], [1, 1]))
+
+    def test_unit_root_divided_out_with_multiplicity(self):
+        assert _divide_out_unit_root(_poly([-1, 1], [-1, 1], [-1, 1], [2, 1])) == [2, 1]
+
+    def test_triple_unit_root_at_dyadic_threshold(self):
+        for q, k, m in ((3, 3, 1), (3, 7, 1)):
+            c = im_prime_coeffs(ModelParams(q=q, k=k, theta=theta_critical(q, k)), m)
+            assert len(c) - len(_divide_out_unit_root(c)) == 3
+
+
+class TestMirrorNearCritical:
+    # the two roots branching off z = 1 sit ~1e-4 from it at
+    # theta_cr*(1-1e-8), inside one cell of any practical grid
+    CASES = [(3, 3, 1), (3, 5, 1), (5, 7, 2)]
+
+    @pytest.mark.parametrize("q,k,m", CASES)
+    def test_three_just_below(self, q, k, m):
+        t_cr = theta_critical(q, k)
+        for theta in (t_cr * (1.0 - 1e-8), t_cr - 1e-10):
+            sols, _ = solve_im_prime(ModelParams(q=q, k=k, theta=theta), m)
+            zs = [s.z for s in sols]
+            assert len(zs) == 3, (theta, zs)
+            assert zs[0] < 1.0 == zs[1] < zs[2]
+            assert all(s.residual_full <= 1e-9 for s in sols)
+
+    @pytest.mark.parametrize("q,k,m", CASES)
+    def test_one_just_above(self, q, k, m):
+        theta = theta_critical(q, k) * (1.0 + 1e-8)
+        sols, _ = solve_im_prime(ModelParams(q=q, k=k, theta=theta), m)
+        assert [s.z for s in sols] == [1.0]
+
+    @pytest.mark.parametrize("q,k,theta", [(3, 3, 0.25), (3, 7, 0.625)])
+    def test_exact_dyadic_threshold(self, q, k, theta):
+        assert theta == theta_critical(q, k)
+        sols, rejected = solve_im_prime(ModelParams(q=q, k=k, theta=theta), 1)
+        assert [(s.z, s.t) for s in sols] == [(1.0, 1.0)]
+        assert rejected == []
+
+
+class TestMirrorScanParity:
+    def test_matches_dense_scan_away_from_threshold(self):
+        # every polynomial root the solver reports, accepted or rejected,
+        # against an independent dense sign scan
+        rng = np.random.default_rng(67)
+        checked = 0
+        while checked < 12:
+            k = int(rng.integers(3, 8))
+            q = int(rng.integers(3, k + 1))
+            p = ModelParams(q=q, k=k, theta=float(rng.uniform(0.01, 0.99)))
+            if abs(p.theta / theta_critical(q, k) - 1.0) < 0.05:
+                continue
+            m = int(rng.integers(1, (q - 1) // 2 + 1))
+            sols, rejected = solve_im_prime(p, m)
+            got = sorted([s.z for s in sols] + [r.z for r in rejected])
+            expected = mirror_roots_by_scan(p, m)
+            assert len(got) == len(expected), (p, m, got, expected)
+            assert got == pytest.approx(expected, rel=1e-12)
+            checked += 1
 
 
 class TestTransitionLocation:
