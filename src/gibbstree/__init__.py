@@ -3,7 +3,7 @@
 The package finds the boundary-field vectors compatible with the tree
 recursion at period two, classifies them as translation invariant or
 genuinely alternating, counts the symmetry orbits they generate, and checks
-everything against brute-force finite-volume enumeration.
+everything against an exact finite-volume consistency oracle.
 """
 from .catalog import (
     Classification,

@@ -3,7 +3,7 @@
 Subcommands: solve (one parameter point), sweep (theta grid to CSV/SVG),
 count (closed-form solution tallies), verify (finite-volume consistency
 oracle), plot (CSV to SVG).  Exit codes: 0 success, 1 internal failure or
-failed verification, 2 parameter regime violation, 3 enumeration budget
+failed verification, 2 parameter regime violation, 3 oracle size budget
 exceeded, 64 usage error, 74 file I/O error.
 """
 from __future__ import annotations
@@ -232,7 +232,7 @@ def build_parser() -> _Parser:
     _add_model_args(p_verify)
     p_verify.add_argument("--set", default="all")
     p_verify.add_argument("--depth", type=int, default=2,
-                          help="ball depth for the enumeration (default 2)")
+                          help="ball depth for the consistency check (default 2)")
     p_verify.add_argument("--tol", type=float, default=1e-8)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--grid", type=int, default=None, help=_GRID_HELP)

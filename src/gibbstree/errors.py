@@ -34,7 +34,7 @@ class ConvergenceError(GibbsTreeError):
 
 
 class BudgetError(GibbsTreeError):
-    """An exhaustive enumeration would exceed the configured size budget."""
+    """A finite tree or the oracle's boundary sum would exceed its size budget."""
 
 
 class ResidualError(GibbsTreeError):

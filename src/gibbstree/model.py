@@ -161,16 +161,24 @@ def _check_spin(s, q: int | None):
     return int(s)
 
 
+def monochromatic_edges(config: Sequence[int] | Mapping[int, int],
+                        edges: Iterable[tuple[int, int]], q: int | None = None) -> int:
+    """Number of edges whose two endpoints carry the same spin.
+
+    Every endpoint spin must be an integer >= 1 (and <= q when q is given);
+    otherwise DomainError is raised.
+    """
+    mono = 0
+    for u, v in edges:
+        if _check_spin(config[u], q) == _check_spin(config[v], q):
+            mono += 1
+    return mono
+
+
 def hamiltonian(config: Mapping[int, int], edges: Iterable[tuple[int, int]],
                 j_coupling: float, q: int | None = None) -> float:
     """Energy -J * (number of monochromatic edges); pass q to range-check spins."""
-    mono = 0
-    for u, v in edges:
-        su = _check_spin(config[u], q)
-        sv = _check_spin(config[v], q)
-        if su == sv:
-            mono += 1
-    return -j_coupling * mono
+    return -j_coupling * monochromatic_edges(config, edges, q)
 
 
 def finite_volume_log_weight(config: Sequence[int] | Mapping[int, int],
@@ -190,12 +198,7 @@ def finite_volume_log_weight(config: Sequence[int] | Mapping[int, int],
     q = params.q
     if field.q != q:
         raise ShapeError(f"field has q={field.q}, params have q={q}")
-    mono = 0
-    for u, v in edges:
-        su = _check_spin(config[u], q)
-        sv = _check_spin(config[v], q)
-        if su == sv:
-            mono += 1
+    mono = monochromatic_edges(config, edges, q)
     parts = []
     for v, d in boundary:
         s = _check_spin(config[v], q)

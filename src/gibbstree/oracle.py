@@ -1,11 +1,21 @@
-"""Brute-force consistency oracle on finite subtrees.
+"""Exact consistency oracle on finite subtrees.
 
 The fixed-point equations assert one concrete, checkable fact: summing the
 finite-volume weights over the outermost spin generation reproduces the
 weights of the next smaller volume, up to a single constant that does not
-depend on the interior configuration.  This module enumerates every spin
-configuration on a depth-n ball (no recursion shortcuts, no reuse of the
-solver's algebra) and measures how far that ratio is from constant.
+depend on the interior configuration.  This module measures how far that
+ratio is from constant on a depth-n ball.
+
+The boundary sum is exact.  Every boundary vertex is a leaf whose only edge
+goes to its parent, so once the interior spins are fixed the sum over the
+boundary spins factorizes into one factor per boundary vertex, and that
+factor depends only on its parent's spin:
+
+    sum_boundary w = theta^(inner monochromatic edges)
+                     * prod_v sum_s theta^[s = spin of v's parent] exp(h_s)
+
+The check uses only the Hamiltonian and the field; it shares no algebra with
+the solver (no compatibility map, no invariant-set reduction).
 """
 from __future__ import annotations
 
@@ -16,7 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, ParameterError
-from .model import ModelParams, PeriodTwoField, finite_volume_log_weight
+from .model import (
+    ModelParams,
+    PeriodTwoField,
+    finite_volume_log_weight,
+    monochromatic_edges,
+)
 
 _DEFAULT_MAX_ENUM = 10_000_000
 _ENUM_ENV_VAR = "GIBBS_TREE_MAX_ENUM"
@@ -98,55 +113,36 @@ def _resolve_max_enum(max_enum: int | None) -> int:
     return _DEFAULT_MAX_ENUM
 
 
-class _BoundaryEnum:
-    """Configuration-independent pieces of the boundary enumeration.
+class _BoundarySum:
+    """Configuration-independent pieces of the factorized boundary sum.
 
-    combos lists every boundary spin assignment (one row per assignment,
-    spins 1..q as int8), boundary_term the summed field contribution of each
-    row, parents the inner-vertex index feeding each boundary column.  Built
-    once per (tree, field) pair and reused across interior configurations.
+    parents holds the inner vertex each boundary vertex hangs from,
+    log_factor[s-1] the log of one boundary vertex's summed weight when its
+    parent has spin s, and inner_edges the edges of the depth-(n-1) ball.
+    Built once per (tree, field) pair and reused across interior
+    configurations.
     """
 
     def __init__(self, tree: FiniteTree, params: ModelParams,
-                 field: PeriodTwoField, max_enum: int) -> None:
+                 field: PeriodTwoField) -> None:
         q = params.q
-        boundary = tree.boundary()
-        b = len(boundary)
-        total = q ** b
-        if total > max_enum:
-            # total can run to thousands of digits; never stringify it
-            raise BudgetError(
-                f"boundary enumeration needs {q}^{b} terms, budget {max_enum}"
-            )
-        self.parents = np.array([tree.parent[v] for v in boundary], dtype=np.int64)
-        self.combos = np.stack(
-            np.unravel_index(np.arange(total), (q,) * b), axis=-1
-        ).astype(np.int8) + 1
+        self.q = q
+        self.parents = np.array([tree.parent[v] for v in tree.boundary()], dtype=np.int64)
         h = field.h_even if tree.n % 2 == 0 else field.h_odd
         h_full = np.append(h, 0.0)
-        self.boundary_term = h_full[self.combos.astype(np.int64) - 1].sum(axis=1)
-        self.inner_edges = [
-            e for e in tree.edges if tree.depth[e[1]] < tree.n
-        ]
+        shift = float(h_full.max())
+        ex = np.exp(h_full - shift)
+        # row s' sums theta*e^{h_s'} and e^{h_s} over s != s': positive terms only
+        terms = np.where(np.eye(q, dtype=bool), params.theta * ex, ex)
+        self.log_factor = shift + np.log(terms.sum(axis=1))
         self.log_theta = math.log(params.theta)
+        self.inner_edges = [e for e in tree.edges if tree.depth[e[1]] < tree.n]
 
     def log_sum(self, inner: np.ndarray) -> float:
         """log sum over all boundary spin assignments of the full volume weight."""
-        inner_mono = sum(1 for (u, v) in self.inner_edges if inner[u] == inner[v])
-        parent_spins = inner[self.parents].astype(np.int8)
-        cross_mono = (self.combos == parent_spins[None, :]).sum(axis=1)
-        logw = (inner_mono + cross_mono) * self.log_theta + self.boundary_term
-        shift = float(logw.max())
-        return shift + math.log(math.fsum(np.exp(logw - shift).tolist()))
-
-
-def _inner_log_weight(tree: FiniteTree, params: ModelParams,
-                      field: PeriodTwoField, inner: np.ndarray) -> float:
-    """Finite-volume log weight of the depth-(n-1) ball holding spins `inner`."""
-    inner_edges = [e for e in tree.edges if tree.depth[e[1]] < tree.n]
-    config = {v: int(inner[v]) for v in range(len(inner)) if tree.depth[v] < tree.n}
-    boundary = [(v, tree.depth[v]) for v in tree.generations[tree.n - 1]]
-    return finite_volume_log_weight(config, inner_edges, boundary, field, params)
+        inner_mono = monochromatic_edges(inner.tolist(), self.inner_edges, self.q)
+        counts = np.bincount(inner[self.parents] - 1, minlength=self.q)
+        return inner_mono * self.log_theta + math.fsum(counts * self.log_factor)
 
 
 @dataclass(frozen=True)
@@ -171,19 +167,28 @@ def check_consistency(tree: FiniteTree, params: ModelParams, field: PeriodTwoFie
         raise ParameterError("consistency check needs a ball of depth >= 1")
     if field.q != params.q:
         raise ParameterError(f"field has q={field.q}, params q={params.q}")
+    b = len(tree.boundary())
+    terms = (n_pairs + 1) * b * params.q
     max_enum = _resolve_max_enum(max_enum)
+    if terms > max_enum:
+        raise BudgetError(
+            f"boundary sum needs {n_pairs + 1} configurations x {b} boundary "
+            f"vertices x {params.q} spins = {terms} terms, budget {max_enum}"
+        )
     rng = np.random.default_rng(seed)
-    n_inner = len([v for v in range(tree.n_vertices) if tree.depth[v] < tree.n])
+    n_inner = tree.n_vertices - b
 
     configs = [np.ones(n_inner, dtype=np.int64)]
     for _ in range(n_pairs):
         configs.append(rng.integers(1, params.q + 1, size=n_inner))
 
-    enum = _BoundaryEnum(tree, params, field, max_enum)
+    bsum = _BoundarySum(tree, params, field)
+    inner_boundary = [(v, tree.n - 1) for v in tree.generations[tree.n - 1]]
     gaps = []
     for inner in configs:
-        log_outer = enum.log_sum(inner)
-        log_inner = _inner_log_weight(tree, params, field, inner)
+        log_outer = bsum.log_sum(inner)
+        log_inner = finite_volume_log_weight(inner.tolist(), bsum.inner_edges,
+                                             inner_boundary, field, params)
         gaps.append(log_outer - log_inner)
     spread = max(gaps) - min(gaps)
     scale = max(1.0, max(abs(g) for g in gaps))

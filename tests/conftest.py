@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -65,3 +67,29 @@ def mirror_roots_by_scan(params: ModelParams, m: int, points: int = 4001,
                     hi = mid
             roots.append(lo)
     return roots
+
+
+def boundary_log_sum_by_enumeration(tree, params: ModelParams, field,
+                                    inner: np.ndarray) -> float:
+    """log of the depth-n ball's weight summed over every boundary assignment.
+
+    An independent cross-check of the oracle's factorized boundary sum: lists
+    all q^b boundary spin assignments, adds the monochromatic edges and the
+    parity-appropriate field of each, and sums the weights after a max shift.
+    Feasible only for small balls (q^b rows of b spins).
+    """
+    q = params.q
+    boundary = tree.boundary()
+    b = len(boundary)
+    parents = np.array([tree.parent[v] for v in boundary], dtype=np.int64)
+    combos = np.stack(
+        np.unravel_index(np.arange(q ** b), (q,) * b), axis=-1
+    ).astype(np.int8) + 1
+    h = field.h_even if tree.n % 2 == 0 else field.h_odd
+    boundary_term = np.append(h, 0.0)[combos.astype(np.int64) - 1].sum(axis=1)
+    inner_mono = sum(1 for u, v in tree.edges
+                     if tree.depth[v] < tree.n and inner[u] == inner[v])
+    cross_mono = (combos == inner[parents].astype(np.int8)[None, :]).sum(axis=1)
+    logw = (inner_mono + cross_mono) * math.log(params.theta) + boundary_term
+    shift = float(logw.max())
+    return shift + math.log(math.fsum(np.exp(logw - shift).tolist()))

@@ -136,9 +136,18 @@ class TestVerify:
         assert all(r["passed"] for r in results)
         assert results[0]["depth"] == 2
 
+    def test_depth_four_passes(self, capsys):
+        code, out, _ = run(capsys, "verify", "--q", "3", "--k", "3",
+                           "--theta", "0.1", "--set", "all", "--depth", "4")
+        assert code == 0
+        assert out.count("PASS") == 9
+        assert "FAIL" not in out
+
     def test_depth_budget(self, capsys):
+        # depth 11: 21 configurations x 236,196 boundary vertices x 3 spins
+        # is about 1.49e7 terms, over the default budget of 1e7
         code, _, _ = run(capsys, "verify", "--q", "3", "--k", "3",
-                         "--theta", "0.1", "--set", "im:1", "--depth", "4")
+                         "--theta", "0.1", "--set", "im:1", "--depth", "11")
         assert code == 3
 
     def test_env_budget(self, capsys, monkeypatch):

@@ -11,10 +11,15 @@ from gibbstree import (
     finite_difference,
     mobius_deriv,
     mobius_map,
+    finite_volume_log_weight,
     solve_im,
+    solve_im_prime,
     two_step_map,
     two_step_slope_at_one,
 )
+from gibbstree.oracle import _BoundarySum
+
+from conftest import boundary_log_sum_by_enumeration
 
 
 class TestBuildTree:
@@ -143,6 +148,107 @@ class TestCheckConsistency:
         a = check_consistency(tree, p33, sol.full_field, seed=7)
         b = check_consistency(tree, p33, sol.full_field, seed=7)
         assert a.max_relative_error == b.max_relative_error
+
+
+def _test_fields(params: ModelParams, rng: np.random.Generator) -> list[PeriodTwoField]:
+    """Zero field, every block solution of im:1, and two perturbations of them."""
+    sols = [s.full_field for s in solve_im(params, 1)]
+    q = params.q
+    return [PeriodTwoField.zero(q), *sols,
+            PeriodTwoField(sols[0].h_even + 1e-3, sols[0].h_odd.copy()),
+            PeriodTwoField(sols[-1].h_even + rng.normal(size=q - 1),
+                           sols[-1].h_odd + rng.normal(size=q - 1))]
+
+
+def _brute_force_error(tree, params, field, n_pairs, seed):
+    """check_consistency's relative spread with the boundary summed by enumeration."""
+    rng = np.random.default_rng(seed)
+    n_inner = tree.n_vertices - len(tree.boundary())
+    configs = [np.ones(n_inner, dtype=np.int64)]
+    configs += [rng.integers(1, params.q + 1, size=n_inner) for _ in range(n_pairs)]
+    inner_edges = [e for e in tree.edges if tree.depth[e[1]] < tree.n]
+    inner_boundary = [(v, tree.n - 1) for v in tree.generations[tree.n - 1]]
+    gaps = [boundary_log_sum_by_enumeration(tree, params, field, inner)
+            - finite_volume_log_weight({v: int(s) for v, s in enumerate(inner)},
+                                       inner_edges, inner_boundary, field, params)
+            for inner in configs]
+    return (max(gaps) - min(gaps)) / max(1.0, max(abs(g) for g in gaps))
+
+
+class TestFactorizedBoundarySum:
+    # depth 2 enumerates 3^12 rows per configuration, so it gets fewer draws
+    @pytest.mark.parametrize("q, k, n, thetas, n_configs", [
+        (3, 3, 1, (0.1, 0.2), 6), (3, 3, 2, (0.1,), 1),
+        (3, 5, 1, (0.1, 0.2), 6), (4, 4, 1, (0.1, 0.2), 6),
+    ])
+    def test_matches_enumeration(self, q, k, n, thetas, n_configs):
+        rng = np.random.default_rng(100 * q + 10 * k + n)
+        tree = build_tree(k, n)
+        n_inner = tree.n_vertices - len(tree.boundary())
+        worst = 0.0
+        for theta in thetas:
+            p = ModelParams(q=q, k=k, theta=theta)
+            for field in _test_fields(p, rng):
+                bsum = _BoundarySum(tree, p, field)
+                for _ in range(n_configs):
+                    inner = rng.integers(1, q + 1, size=n_inner)
+                    expected = boundary_log_sum_by_enumeration(tree, p, field, inner)
+                    got = bsum.log_sum(inner)
+                    worst = max(worst, abs(got - expected) / max(1.0, abs(expected)))
+        assert worst <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_verdicts_match_enumeration(self, p33, n):
+        tree = build_tree(3, n)
+        sol = solve_im(p33, 1)
+        fields = [sol[1].full_field, sol[0].full_field,
+                  PeriodTwoField(sol[0].full_field.h_even + 1e-3, sol[0].full_field.h_odd)]
+        n_pairs = 5 if n == 1 else 1
+        verdicts = set()
+        for field in fields:
+            report = check_consistency(tree, p33, field, tol=1e-6, n_pairs=n_pairs, seed=0)
+            expected = _brute_force_error(tree, p33, field, n_pairs, seed=0)
+            assert report.max_relative_error == pytest.approx(expected, abs=1e-13)
+            assert report.passed == (expected <= 1e-6)
+            verdicts.add(report.passed)
+        assert verdicts == {True, False}
+
+    def test_large_fields_do_not_overflow(self, p33):
+        tree = build_tree(3, 2)
+        field = PeriodTwoField(np.array([800.0, -800.0]), np.array([-800.0, 800.0]))
+        inner = np.ones(tree.n_vertices - len(tree.boundary()), dtype=np.int64)
+        assert np.isfinite(_BoundarySum(tree, p33, field).log_sum(inner))
+
+
+class TestDeepBalls:
+    @pytest.fixture
+    def fields(self, p33):
+        block = solve_im(p33, 1)
+        mirror, _ = solve_im_prime(p33, 1)
+        return {
+            "TI": next(s for s in block if abs(s.x - 1.0) < 1e-9).full_field,
+            "P2 block": block[0].full_field,
+            "P2 mirror": next(s for s in mirror if abs(s.x - 1.0) > 1e-6).full_field,
+        }
+
+    def test_solutions_pass_depth_six(self, p33, fields):
+        tree = build_tree(3, 6)
+        for name, field in fields.items():
+            report = check_consistency(tree, p33, field, tol=1e-8)
+            assert report.passed, (name, report.max_relative_error)
+
+    def test_block_solution_passes_depth_eight(self, p33, fields):
+        tree = build_tree(3, 8)
+        assert tree.n_vertices == 13_121
+        report = check_consistency(tree, p33, fields["P2 block"], tol=1e-8)
+        assert report.passed, report.max_relative_error
+
+    def test_perturbed_field_fails_depth_six(self, p33, fields):
+        fld = fields["P2 block"]
+        bad = PeriodTwoField(h_even=fld.h_even + 1e-3, h_odd=fld.h_odd.copy())
+        report = check_consistency(build_tree(3, 6), p33, bad, tol=1e-8)
+        assert not report.passed
+        assert report.max_relative_error > 1e-5
 
 
 class TestFiniteDifference:
