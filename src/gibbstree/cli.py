@@ -23,7 +23,6 @@ from .errors import (
 )
 from .model import ModelParams
 from .oracle import build_tree, check_consistency
-from .solver import SolverConfig
 from .sweep import (
     parse_set_spec,
     read_csv,
@@ -40,10 +39,6 @@ EXIT_REGIME = 2
 EXIT_BUDGET = 3
 EXIT_USAGE = 64
 EXIT_IO = 74
-
-_GRID_HELP = ("scan grid points for block sets (im:<m>); "
-              "mirror sets are solved exactly and use no grid")
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse with BSD-style usage exit code instead of the default 2."""
@@ -79,12 +74,6 @@ def _params_from(args, parser: argparse.ArgumentParser) -> ModelParams:
                        j_coupling=args.coupling, beta=1.0 / args.temp)
 
 
-def _solver_config(args) -> SolverConfig | None:
-    if getattr(args, "grid", None) is None:
-        return None
-    return SolverConfig(grid_points=args.grid)
-
-
 def _row_dict(r) -> dict:
     return {
         "theta": r.theta, "set_kind": r.set_kind, "m": r.m,
@@ -106,10 +95,9 @@ def _print_rows(rows) -> None:
 
 def cmd_solve(args, parser) -> int:
     params = _params_from(args, parser)
-    config = _solver_config(args)
     rows = []
     for set_id in parse_set_spec(args.set, args.q):
-        rows.extend(rows_for(params, set_id, config))
+        rows.extend(rows_for(params, set_id))
     if args.out:
         write_csv(rows, args.out)
     if args.json:
@@ -124,7 +112,7 @@ def cmd_solve(args, parser) -> int:
 def cmd_sweep(args, parser) -> int:
     set_ids = parse_set_spec(args.set, args.q)
     rows = run_sweep(args.q, args.k, args.theta_min, args.theta_max,
-                     args.steps, set_ids, _solver_config(args))
+                     args.steps, set_ids)
     write_csv(rows, args.out)
     if args.svg:
         write_bifurcation_svg(rows, args.svg)
@@ -158,12 +146,11 @@ def cmd_count(args, parser) -> int:
 
 def cmd_verify(args, parser) -> int:
     params = _params_from(args, parser)
-    config = _solver_config(args)
     tree = build_tree(params.k, args.depth)
     all_passed = True
     results = []
     for set_id in parse_set_spec(args.set, args.q):
-        for i, sol in enumerate(solve_set(params, set_id, config)):
+        for i, sol in enumerate(solve_set(params, set_id)):
             report = check_consistency(tree, params, sol.full_field,
                                        tol=args.tol, seed=args.seed)
             results.append((set_id.label(), i, report))
@@ -204,7 +191,6 @@ def build_parser() -> _Parser:
     _add_model_args(p_solve)
     p_solve.add_argument("--set", default="all",
                          help="invariant set: im:<m>, imprime:<m>, or all")
-    p_solve.add_argument("--grid", type=int, default=None, help=_GRID_HELP)
     p_solve.add_argument("--out", default=None, help="also write solutions as CSV")
     p_solve.add_argument("--json", action="store_true", help="machine-readable output")
     p_solve.set_defaults(func=cmd_solve)
@@ -218,7 +204,6 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--set", default="all")
     p_sweep.add_argument("--out", required=True, help="output CSV path")
     p_sweep.add_argument("--svg", default=None, help="optional SVG plot path")
-    p_sweep.add_argument("--grid", type=int, default=None, help=_GRID_HELP)
     p_sweep.add_argument("--json", action="store_true")
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -232,10 +217,11 @@ def build_parser() -> _Parser:
     _add_model_args(p_verify)
     p_verify.add_argument("--set", default="all")
     p_verify.add_argument("--depth", type=int, default=2,
-                          help="ball depth for the consistency check (default 2)")
+                          help="ball depth for the consistency check (default 2); "
+                               "depth 1 fails every period-two solution by design, "
+                               "since the root has k+1 children")
     p_verify.add_argument("--tol", type=float, default=1e-8)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--grid", type=int, default=None, help=_GRID_HELP)
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
 

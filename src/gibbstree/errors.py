@@ -28,8 +28,9 @@ class SelectorSyntaxError(ParameterError):
 class ConvergenceError(GibbsTreeError):
     """A root solver could not finish.
 
-    Either bracket refinement ran out of its iteration budget, or a mirror
-    polynomial could not be certified squarefree.
+    Either bracket refinement ran out of its iteration budget, a root
+    polynomial could not be certified squarefree, or an exact polynomial
+    division left a remainder.
     """
 
 

@@ -13,8 +13,9 @@ collapses to scalar equations built from the fractional-linear map
 
     f(x) = ((theta+m-1)x + q-m) / (mx + theta+q-m-1)
 
-and its k-th power.  Mirror solutions are roots of an explicit one-variable
-polynomial in z = x^(1/k).
+and its k-th power.  Block solutions are roots of the integer quotient
+polynomial of im_coeffs, mirror solutions roots of an explicit one-variable
+polynomial in z = x^(1/k) with the integer coefficients of im_prime_coeffs.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from .errors import DomainError, HypothesisError, ParameterError
+from .errors import ConvergenceError, DomainError, HypothesisError, ParameterError
 from .model import ModelParams, PeriodTwoField, residual_norm
 
 # working precision for the mirror polynomial: its two product terms cancel
@@ -264,6 +265,76 @@ def im_prime_coeffs(params: ModelParams, m: int) -> list[int]:
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
+
+
+def _binomial_power(u: int, v: int, k: int) -> list[int]:
+    """Coefficients of (u x + v)^k, lowest degree first."""
+    return [math.comb(k, i) * u ** i * v ** (k - i) for i in range(k + 1)]
+
+
+def _poly_sub(a: list[int], b: list[int]) -> list[int]:
+    n = max(len(a), len(b))
+    return [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
+
+
+def _primitive(coeffs: list[int]) -> list[int]:
+    g = math.gcd(*coeffs)
+    return [c // g for c in coeffs]
+
+
+def _exact_quotient(num: list[int], den: list[int]) -> list[int]:
+    """num / den over the integers, lowest degree first; den must divide num.
+
+    Raises ConvergenceError when a quotient coefficient is not an integer or
+    a remainder is left, instead of returning an inexact quotient.
+    """
+    num = list(num)
+    n = len(den) - 1
+    quot = [0] * (len(num) - n)
+    for i in range(len(num) - 1, n - 1, -1):
+        qi, r = divmod(num[i], den[-1])
+        if r:
+            raise ConvergenceError("polynomial division is not exact: "
+                                   f"coefficient of degree {i} leaves {r}")
+        quot[i - n] = qi
+        if qi:
+            for j, dj in enumerate(den):
+                num[i - n + j] -= qi * dj
+    if any(num[:n]):
+        raise ConvergenceError("polynomial division leaves a nonzero remainder")
+    return quot
+
+
+def im_coeffs(params: ModelParams, m: int) -> list[int]:
+    """Exact integer coefficients of the block quotient polynomial, lowest degree first.
+
+    theta is a float, hence an exact dyadic rational A/D.  With
+    a = A+(m-1)D, b = (q-m)D, c = mD, d = A+(q-m-1)D the map is
+    f(x) = (ax+b)/(cx+d); put P = (ax+b)^k and Q = (cx+d)^k.  Fixed points of
+    the two-step map are the positive roots of
+
+        R(x) = x (cP + dQ)^k - (aP + bQ)^k          (degree k^2+1),
+
+    and those of f^k alone, of which x = 1 is the only positive one, are the
+    roots of S(x) = x (cx+d)^k - (ax+b)^k, which divides R.  The result is
+    the primitive part of R / S, of degree k^2-k: its positive roots other
+    than x = 1 are exactly the non-unit block solutions.  A nonzero remainder
+    raises ConvergenceError.
+    """
+    _check_block_args(params, m)
+    q, k = params.q, params.k
+    theta = Fraction(params.theta)
+    A, D = theta.numerator, theta.denominator
+    a, b, c, d = A + (m - 1) * D, (q - m) * D, m * D, A + (q - m - 1) * D
+    P, Q = _binomial_power(a, b, k), _binomial_power(c, d, k)
+    U = [c * p + d * r for p, r in zip(P, Q)]
+    V = [a * p + b * r for p, r in zip(P, Q)]
+    Uk, Vk = [1], [1]
+    for _ in range(k):
+        Uk, Vk = _poly_mul(Uk, U), _poly_mul(Vk, V)
+    R = _poly_sub([0] + Uk, Vk)
+    S = _primitive(_poly_sub([0] + Q, P))
+    return _primitive(_exact_quotient(R, S))
 
 
 def im_prime_poly_slope_at_one(params: ModelParams) -> float:

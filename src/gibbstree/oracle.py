@@ -162,18 +162,28 @@ def check_consistency(tree: FiniteTree, params: ModelParams, field: PeriodTwoFie
     Draws n_pairs random interior configurations (plus the all-ones one),
     computes log(sum over boundary) - log(inner weight) for each, and passes
     when the spread of that difference stays within tol.  Works for n >= 1.
+
+    From depth 2 on, a check tests one of the two period-two equations: the
+    one that gives the generation-(n-1) field from the generation-n field.
+    So the same configurations are checked on the field and on
+    field.swapped(), the ball centred on a vertex of the other sublattice,
+    and the larger error is reported.  At depth 1 the root has k+1 children,
+    so the check tests h_even = (k+1) F(h_odd), which no genuinely
+    period-two field satisfies in either order; it runs on the field alone.
     """
     if tree.n < 1:
         raise ParameterError("consistency check needs a ball of depth >= 1")
     if field.q != params.q:
         raise ParameterError(f"field has q={field.q}, params q={params.q}")
+    orders = (field,) if tree.n == 1 else (field, field.swapped())
     b = len(tree.boundary())
-    terms = (n_pairs + 1) * b * params.q
+    terms = len(orders) * (n_pairs + 1) * b * params.q
     max_enum = _resolve_max_enum(max_enum)
     if terms > max_enum:
         raise BudgetError(
-            f"boundary sum needs {n_pairs + 1} configurations x {b} boundary "
-            f"vertices x {params.q} spins = {terms} terms, budget {max_enum}"
+            f"boundary sum needs {len(orders)} field order(s) x {n_pairs + 1} "
+            f"configurations x {b} boundary vertices x {params.q} spins = {terms} "
+            f"terms, budget {max_enum}"
         )
     rng = np.random.default_rng(seed)
     n_inner = tree.n_vertices - b
@@ -182,6 +192,19 @@ def check_consistency(tree: FiniteTree, params: ModelParams, field: PeriodTwoFie
     for _ in range(n_pairs):
         configs.append(rng.integers(1, params.q + 1, size=n_inner))
 
+    err = max(_relative_spread(tree, params, f, configs) for f in orders)
+    return ConsistencyReport(
+        passed=bool(err <= tol),
+        max_relative_error=float(err),
+        pairs_checked=len(configs),
+        n=tree.n,
+        tolerance=tol,
+    )
+
+
+def _relative_spread(tree: FiniteTree, params: ModelParams, field: PeriodTwoField,
+                     configs: list[np.ndarray]) -> float:
+    """Spread of the outer-minus-inner log weights over configs, relative to their size."""
     bsum = _BoundarySum(tree, params, field)
     inner_boundary = [(v, tree.n - 1) for v in tree.generations[tree.n - 1]]
     gaps = []
@@ -192,14 +215,7 @@ def check_consistency(tree: FiniteTree, params: ModelParams, field: PeriodTwoFie
         gaps.append(log_outer - log_inner)
     spread = max(gaps) - min(gaps)
     scale = max(1.0, max(abs(g) for g in gaps))
-    err = spread / scale
-    return ConsistencyReport(
-        passed=bool(err <= tol),
-        max_relative_error=float(err),
-        pairs_checked=len(configs),
-        n=tree.n,
-        tolerance=tol,
-    )
+    return spread / scale
 
 
 def finite_difference(fn, x: float, step: float = 1e-6) -> float:

@@ -1,18 +1,19 @@
 """Root solvers for the scalar block and mirror systems.
 
-The block solver scans a covering interval on a dense grid for strict sign
-changes of the two-step gap, refines each bracket by guarded bisection,
-seeds the always-present unit solution explicitly (it can land exactly on a
-grid node, where a strict sign test goes blind) and merges near-duplicates.
+Both invariant families run one pipeline on the exact integer coefficients
+of a root polynomial (theta is a float, hence a dyadic rational): the block
+quotient polynomial of invariants.im_coeffs or the mirror polynomial of
+invariants.im_prime_coeffs.  The solver divides out the known root 1,
+certifies the quotient squarefree modulo a prime, isolates every positive
+root by Descartes' rule of signs with bisection, and shrinks each isolating
+interval to the nearest float by bracketed Newton steps decided on exact
+signs.  Root counts are therefore exact and independent of any grid.  Each
+root is then lifted to its partner value and embedded back into the full
+field system.
 
-The mirror solver works on the exact integer coefficients of the mirror
-polynomial (theta is a float, hence a dyadic rational).  It divides out the
-known root z = 1, certifies the quotient squarefree modulo a prime,
-isolates every positive root by Descartes' rule of signs with bisection,
-and shrinks each isolating interval on the exact sign to adjacent floats.
-Its root count is therefore exact and independent of any grid.
-
-Both solvers embed every surviving root back into the full field system.
+scan_sign_changes, refine, Bracket, SolverConfig and scan_interval_for_im
+form a generic grid scan that no solver calls; perfbench/tracing.py still
+hooks scan_sign_changes and refine by name.
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 
 from .errors import ConvergenceError, EvaluationError, ParameterError
@@ -29,15 +29,14 @@ from .invariants import (
     ReducedScalar,
     SetKind,
     embed_full,
+    im_coeffs,
     im_prime_coeffs,
     im_prime_poly,  # noqa: F401  unused; perfbench/tracing.py counts its calls here
-    im_prime_poly_mp,
+    im_prime_poly_mp,  # noqa: F401  unused; perfbench/tracing.py counts its calls here
     im_prime_system_residual,
-    mobius_deriv,
-    mobius_map,
     mobius_pow_k,
     recover_t_from_z,
-    two_step_map,
+    two_step_map,  # noqa: F401  unused; perfbench/tracing.py counts its calls here
 )
 from .model import ModelParams
 
@@ -144,18 +143,6 @@ def refine(fn, bracket: Bracket, config: SolverConfig | None = None) -> float:
     )
 
 
-def dedup_roots(roots: list[float], fn, tol: float) -> list[float]:
-    """Merge roots closer than tol*max(1, |x|), keeping the smallest |fn| in each cluster."""
-    out: list[float] = []
-    for r in sorted(roots):
-        if out and r - out[-1] <= tol * max(1.0, abs(r)):
-            if abs(fn(r)) < abs(fn(out[-1])):
-                out[-1] = r
-        else:
-            out.append(r)
-    return out
-
-
 def scan_interval_for_im(params: ModelParams, m: int) -> tuple[float, float]:
     """Interval guaranteed to contain every two-step fixed point for the block set.
 
@@ -170,61 +157,6 @@ def scan_interval_for_im(params: ModelParams, m: int) -> tuple[float, float]:
         # unreachable for m >= 1 since theta > 0; kept as a defensive floor
         return (theta ** k * 1e-2, f_zero ** k * 1e2)
     return (f_inf ** k * 0.99, f_zero ** k * 1.01)
-
-
-def solve_im(params: ModelParams, m: int,
-             config: SolverConfig | None = None) -> list[ReducedScalar]:
-    """All block-pattern solutions (x, y) at the given parameters, ascending in x.
-
-    x ranges over fixed points of the two-step map, y = f(x)^k is the partner
-    value, and x = y = 1 is always present.  Below theta_critical at least
-    three solutions appear; above it only the unit one.
-    """
-    params.require_solver_regime()
-    set_id = InvariantSetId(SetKind.IM, m)
-    set_id.validate_for(params.q)
-    config = config or SolverConfig()
-
-    def gap(x: float) -> float:
-        return two_step_map(x, params, m) - x
-
-    def gap_deriv(x: float) -> float:
-        y = mobius_pow_k(x, params, m)
-        k = params.k
-        inner = k * mobius_map(x, params, m) ** (k - 1) * mobius_deriv(x, params, m)
-        outer = k * mobius_map(y, params, m) ** (k - 1) * mobius_deriv(y, params, m)
-        return outer * inner - 1.0
-
-    def polish(x: float) -> float:
-        # the bisection tolerance is absolute, but embedding works in log
-        # space where an error delta maps to delta/x; a few Newton steps
-        # recover full precision for roots far below 1
-        for _ in range(3):
-            g = gap(x)
-            if g == 0.0:
-                break
-            d = gap_deriv(x)
-            if not math.isfinite(d) or d == 0.0:
-                break
-            cand = x - g / d
-            if cand <= 0.0 or not math.isfinite(cand) or abs(gap(cand)) > abs(g):
-                break
-            x = cand
-        return x
-
-    lo, hi = scan_interval_for_im(params, m)
-    brackets = scan_sign_changes(gap, lo, hi, config, spacing="geometric")
-    roots = [polish(refine(gap, b, config)) for b in brackets]
-    roots.append(1.0)  # exact unit fixed point, invisible to strict sign scans
-    roots = dedup_roots(roots, gap, config.dedup_tol)
-
-    solutions = []
-    for x in sorted(roots):
-        y = mobius_pow_k(x, params, m)
-        sol = ReducedScalar(x=x, y=y, set_id=set_id)
-        embed_full(sol, params)
-        solutions.append(sol)
-    return solutions
 
 
 @dataclass(frozen=True)
@@ -352,41 +284,134 @@ def _sign_at(coeffs: list[int], z: Fraction) -> int:
     return (acc > 0) - (acc < 0)
 
 
+def _scaled_values(coeffs: list[int], num: int, e: int) -> tuple[int, int]:
+    """2^(e*n) c(x) and 2^(e*(n-1)) c'(x) at x = num / 2^e, exactly.
+
+    Horner's rule for the value and the derivative of c, of degree n, at the
+    dyadic point: a shift replaces each multiplication by the denominator.
+    """
+    v, dv, shift = coeffs[-1], 0, 0
+    for c in reversed(coeffs[:-1]):
+        shift += e
+        dv = dv * num + v
+        v = v * num + (c << shift)
+    return v, dv
+
+
+def _split(lo, hi) -> float | None:
+    """A float strictly inside (lo, hi), geometric mean when hi > 4 lo > 0, or None."""
+    flo, fhi = float(lo), float(hi)
+    if flo > 0.0 and fhi > 4.0 * flo:
+        mid = math.sqrt(flo) * math.sqrt(fhi)
+    else:
+        mid = 0.5 * (flo + fhi)
+    return mid if lo < mid < hi else None
+
+
 def _shrink_to_float(coeffs: list[int], lo: Fraction, hi: Fraction) -> float:
-    """Bisect a one-root bracket on the exact sign until its ends are adjacent floats."""
+    """The float nearest to the one root of the polynomial in the bracket (lo, hi).
+
+    Bracketed Newton iteration on floats: each step is the float ratio of
+    the exact integer values of c and c' at the current point, and the exact
+    sign there decides which end of the bracket moves.  A step that leaves
+    the bracket, or fails to halve the previous one, is replaced by a
+    bisection; a step below half a unit in the last place probes the
+    neighbouring float instead.  Once no float lies strictly inside, an exact
+    sign at the midpoint of the two ends picks the nearer one.  (If two
+    roots share one float spacing, the result is within one unit in the last
+    place.)  Terminates because every step moves an end to a float strictly
+    inside the bracket.
+    """
     if lo == hi:
         return float(lo)
     # an end can be a root found exactly at a bisection midpoint; the bracket
     # still holds one more root, so the signs just inside the ends differ
     s_lo = _sign_at(coeffs, lo) or -_sign_at(coeffs, hi)
-    # terminates: every step halves the set of floats strictly inside
-    while True:
-        mid = 0.5 * (float(lo) + float(hi))
-        fmid = Fraction(mid)
-        if not lo < fmid < hi:
-            return float(lo)
-        s = _sign_at(coeffs, fmid)
-        if s == 0:
-            return mid
-        if s == s_lo:
-            lo = fmid
+    x = _split(lo, hi)
+    last_step = math.inf
+    while x is not None:
+        num, den = x.as_integer_ratio()
+        e = den.bit_length() - 1
+        v, dv = _scaled_values(coeffs, num, e)
+        if v == 0:
+            return x
+        if (v > 0) == (s_lo > 0):
+            lo = x
         else:
-            hi = fmid
+            hi = x
+        try:
+            step = v / (dv << e)
+        except (ZeroDivisionError, OverflowError):
+            step = math.inf
+        cand = x - step
+        if cand == x:
+            cand = math.nextafter(x, math.inf if x == lo else -math.inf)
+        elif lo < cand < hi and abs(step) <= 0.5 * last_step:
+            last_step = abs(step)
+        else:
+            cand = _split(lo, hi)
+            if cand is not None:
+                last_step = abs(cand - x)
+        x = cand if cand is not None and lo < cand < hi else None
+    mid = (Fraction(lo) + Fraction(hi)) / 2
+    s = _sign_at(coeffs, mid)
+    if s == 0:
+        return float(mid)
+    return float(hi) if s == s_lo else float(lo)
+
+
+def _root_bound(coeffs: list[int]) -> Fraction:
+    """A power of two above the modulus of every root (Fujiwara's bound).
+
+    |z| <= 2 max_i |c_(n-i) / c_n|^(1/i), with each ratio bounded through
+    the bit lengths of the coefficients.
+    """
+    top = abs(coeffs[-1]).bit_length() - 1
+    exp = max(-((top - abs(c).bit_length()) // i)
+              for i, c in enumerate(reversed(coeffs[:-1]), 1) if c)
+    return Fraction(2) ** (exp + 1)
 
 
 def _positive_roots(coeffs: list[int]) -> list[float]:
-    """Every positive root other than z = 1 of a squarefree integer polynomial.
+    """Every positive root other than 1 of an integer polynomial, ascending.
 
-    Roots in (0, 1) are isolated directly; roots in (1, inf) are the
-    reciprocals of the roots in (0, 1) of the reversed polynomial, bounded
-    above by Cauchy's bound.  Each root is returned as a float within one
-    unit in the last place, in ascending order.
+    Divides out the root 1 with its multiplicity and certifies the quotient
+    squarefree.  Roots in (0, 1) are isolated directly; roots in (1, inf)
+    are the reciprocals of the roots in (0, 1) of the reversed polynomial.
+    Root bounds of the polynomial and of its reverse close the brackets
+    that reach 0 or infinity.  Each root is returned as the float nearest
+    to it.
     """
-    brackets = _isolate_unit_interval(coeffs)
-    cauchy = 1 + Fraction(max(abs(c) for c in coeffs[:-1]), abs(coeffs[-1]))
+    coeffs = _divide_out_unit_root(coeffs)
+    _require_squarefree(coeffs)
+    low = 1 / _root_bound(coeffs[::-1])
+    brackets = [(lo or low, hi) for lo, hi in _isolate_unit_interval(coeffs)]
+    high = _root_bound(coeffs)
     for lo, hi in reversed(_isolate_unit_interval(coeffs[::-1])):
-        brackets.append((1 / hi, 1 / lo if lo else cauchy))
+        brackets.append((1 / hi, 1 / lo if lo else high))
     return [_shrink_to_float(coeffs, lo, hi) for lo, hi in brackets]
+
+
+def solve_im(params: ModelParams, m: int) -> list[ReducedScalar]:
+    """All block-pattern solutions (x, y) at the given parameters, ascending in x.
+
+    x ranges over fixed points of the two-step map, found and counted
+    exactly as the positive roots of the block quotient polynomial (see the
+    module docstring); y = f(x)^k is the partner value, and x = 1 is always
+    present.  Below theta_critical at least three solutions appear; at and
+    above it only the unit one.
+    """
+    params.require_solver_regime()
+    set_id = InvariantSetId(SetKind.IM, m)
+    set_id.validate_for(params.q)
+    roots = _positive_roots(im_coeffs(params, m))
+    roots.append(1.0)  # x = 1 is always a fixed point
+    solutions = []
+    for x in sorted(roots):
+        sol = ReducedScalar(x=x, y=mobius_pow_k(x, params, m), set_id=set_id)
+        embed_full(sol, params)
+        solutions.append(sol)
+    return solutions
 
 
 def solve_im_prime(params: ModelParams, m: int,
@@ -404,30 +429,7 @@ def solve_im_prime(params: ModelParams, m: int,
     set_id = InvariantSetId(SetKind.IM_PRIME, m)
     set_id.validate_for(params.q)
 
-    def polish(z: float) -> float:
-        # same log-space consideration as the block solver; the derivative
-        # comes from a high-precision central difference so cancellation in
-        # the polynomial cannot poison the step
-        with mp.workdps(40):
-            zz = mp.mpf(z)
-            h = mp.mpf("1e-12") * max(1.0, abs(z))
-            for _ in range(3):
-                pv = im_prime_poly_mp(zz, params, m)
-                if pv == 0:
-                    break
-                dv = (im_prime_poly_mp(zz + h, params, m)
-                      - im_prime_poly_mp(zz - h, params, m)) / (2 * h)
-                if dv == 0:
-                    break
-                cand = zz - pv / dv
-                if cand <= 0 or not mp.isfinite(cand):
-                    break
-                zz = cand
-            return float(zz)
-
-    coeffs = _divide_out_unit_root(im_prime_coeffs(params, m))
-    _require_squarefree(coeffs)
-    roots = [polish(z) for z in _positive_roots(coeffs)]
+    roots = _positive_roots(im_prime_coeffs(params, m))
     roots.append(1.0)  # p(1) = 0 exactly
 
     solutions = []

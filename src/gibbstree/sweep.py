@@ -17,7 +17,7 @@ from .catalog import classify
 from .errors import ParameterError, SelectorSyntaxError
 from .invariants import InvariantSetId, ReducedScalar, SetKind
 from .model import ModelParams
-from .solver import SolverConfig, solve_im, solve_im_prime
+from .solver import solve_im, solve_im_prime
 
 CSV_HEADER = "theta,set_kind,m,sol_index,x,y,z,t,classification,residual_full"
 
@@ -54,15 +54,10 @@ class SweepRecord:
         return len(self.solutions)
 
 
-def solve_set(params: ModelParams, set_id: InvariantSetId,
-              config: SolverConfig | None = None) -> list[ReducedScalar]:
-    """Solve one invariant set, dropping mirror roots that fail to lift.
-
-    config tunes the grid scan of block sets; mirror sets are solved from
-    exact polynomial coefficients and use no grid.
-    """
+def solve_set(params: ModelParams, set_id: InvariantSetId) -> list[ReducedScalar]:
+    """Solve one invariant set, dropping mirror roots that fail to lift."""
     if set_id.kind is SetKind.IM:
-        return solve_im(params, set_id.m, config)
+        return solve_im(params, set_id.m)
     solutions, _ = solve_im_prime(params, set_id.m)
     return solutions
 
@@ -89,11 +84,10 @@ def parse_set_spec(spec: str, q: int) -> list[InvariantSetId]:
     return [set_id]
 
 
-def rows_for(params: ModelParams, set_id: InvariantSetId,
-             config: SolverConfig | None = None) -> list[SweepRow]:
+def rows_for(params: ModelParams, set_id: InvariantSetId) -> list[SweepRow]:
     """Solve one invariant set and flatten its solutions into classified rows."""
     rows = []
-    for i, sol in enumerate(solve_set(params, set_id, config)):
+    for i, sol in enumerate(solve_set(params, set_id)):
         rows.append(SweepRow(
             theta=params.theta,
             set_kind=set_id.kind.value,
@@ -110,8 +104,7 @@ def rows_for(params: ModelParams, set_id: InvariantSetId,
 
 
 def sweep_records(q: int, k: int, theta_min: float, theta_max: float, steps: int,
-                  set_ids: list[InvariantSetId],
-                  config: SolverConfig | None = None) -> list[SweepRecord]:
+                  set_ids: list[InvariantSetId]) -> list[SweepRecord]:
     """Solve every requested set at `steps` equally spaced theta values."""
     if not isinstance(steps, int) or steps < 1:
         raise ParameterError(f"steps must be a positive integer, got {steps!r}")
@@ -126,17 +119,15 @@ def sweep_records(q: int, k: int, theta_min: float, theta_max: float, steps: int
             records.append(SweepRecord(
                 theta=params.theta,
                 set_id=set_id,
-                solutions=tuple(rows_for(params, set_id, config)),
+                solutions=tuple(rows_for(params, set_id)),
             ))
     return records
 
 
 def run_sweep(q: int, k: int, theta_min: float, theta_max: float, steps: int,
-              set_ids: list[InvariantSetId],
-              config: SolverConfig | None = None) -> list[SweepRow]:
+              set_ids: list[InvariantSetId]) -> list[SweepRow]:
     """Flat row view of sweep_records, ready for CSV emission."""
-    return [row for rec in sweep_records(q, k, theta_min, theta_max, steps,
-                                         set_ids, config)
+    return [row for rec in sweep_records(q, k, theta_min, theta_max, steps, set_ids)
             for row in rec.solutions]
 
 

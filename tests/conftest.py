@@ -31,28 +31,19 @@ def draw_regime():
     return draw_regime_params
 
 
-def mirror_roots_by_scan(params: ModelParams, m: int, points: int = 4001,
-                         z_min: float = 1e-3, z_max: float = 1e3) -> list[float]:
-    """Positive mirror-polynomial roots from a dense sign scan, ascending.
+def _roots_by_sign_scan(sign, xs: list[float]) -> list[float]:
+    """Roots of a function, given its sign function, from a scan over xs.
 
-    An independent cross-check of the exact solver: evaluates im_prime_poly
-    at 40 digits on a geometric grid over [z_min, z_max] and bisects every
-    strict sign change on the sign of the polynomial down to adjacent floats.
-    Roots closer than the grid spacing, or outside the grid, are missed.
+    A node where the sign is 0 is a root; every strict sign change between
+    neighbouring nodes is bisected on the sign down to adjacent floats.
     """
-    from gibbstree import im_prime_poly
-
-    def sign(z: float) -> float:
-        return np.sign(im_prime_poly(z, params, m))
-
-    zs = np.geomspace(z_min, z_max, points).tolist()
-    signs = [sign(z) for z in zs]
+    signs = [sign(x) for x in xs]
     roots = []
-    for z, s, z_next, s_next in zip(zs, signs, zs[1:], signs[1:]):
+    for x, s, x_next, s_next in zip(xs, signs, xs[1:], signs[1:]):
         if s == 0.0:
-            roots.append(z)
+            roots.append(x)
         elif s * s_next < 0.0:
-            lo, hi = z, z_next
+            lo, hi = x, x_next
             while True:
                 mid = 0.5 * (lo + hi)
                 if not lo < mid < hi:
@@ -67,6 +58,45 @@ def mirror_roots_by_scan(params: ModelParams, m: int, points: int = 4001,
                     hi = mid
             roots.append(lo)
     return roots
+
+
+def mirror_roots_by_scan(params: ModelParams, m: int, points: int = 4001,
+                         z_min: float = 1e-3, z_max: float = 1e3) -> list[float]:
+    """Positive mirror-polynomial roots from a dense sign scan, ascending.
+
+    An independent cross-check of the exact solver: evaluates im_prime_poly
+    at 40 digits on a geometric grid over [z_min, z_max] and bisects every
+    strict sign change on the sign of the polynomial down to adjacent floats.
+    Roots closer than the grid spacing, or outside the grid, are missed.
+    """
+    from gibbstree import im_prime_poly
+
+    def sign(z: float) -> float:
+        return np.sign(im_prime_poly(z, params, m))
+
+    return _roots_by_sign_scan(sign, np.geomspace(z_min, z_max, points).tolist())
+
+
+def block_roots_by_scan(params: ModelParams, m: int, points: int = 20001) -> list[float]:
+    """Fixed points of the two-step block map from a dense sign scan, ascending.
+
+    An independent cross-check of the exact block solver: evaluates the gap
+    two_step_map(x) - x in float64 on a geometric grid over the range of
+    f^k, widened by one percent, and bisects every strict sign change on
+    the sign of the gap down to adjacent floats.  Roots closer than the grid
+    spacing, and roots the float gap cannot resolve (such as x = 1 where the
+    slope is near 1), may be missed or duplicated.
+    """
+    from gibbstree import two_step_map
+
+    theta, q, k = params.theta, params.q, params.k
+    lo = ((theta + m - 1.0) / m) ** k * 0.99
+    hi = ((q - m) / (theta + q - m - 1.0)) ** k * 1.01
+
+    def sign(x: float) -> float:
+        return np.sign(two_step_map(x, params, m) - x)
+
+    return _roots_by_sign_scan(sign, np.geomspace(lo, hi, points).tolist())
 
 
 def boundary_log_sum_by_enumeration(tree, params: ModelParams, field,

@@ -66,7 +66,7 @@ def test_criterion_01_threshold_reproduction_q3_k3():
             assert count == 1, f"theta={theta}: expected 1, got {count}"
     assert t_lo >= 0.245 - 1e-9
     assert t_hi <= 0.255 + 1e-9
-    assert t_lo < 0.25 < t_hi
+    assert t_lo < 0.25 <= t_hi
     print(f"criterion 1: transition in [{t_lo:.3f}, {t_hi:.3f}] around 0.25, "
           f"{elapsed:.2f}s (< 10 s)")
     assert elapsed < 10.0

@@ -29,6 +29,8 @@ from gibbstree import (
     two_step_map,
     two_step_slope_at_one,
 )
+from gibbstree.errors import ConvergenceError
+from gibbstree.invariants import _exact_quotient, im_coeffs
 from gibbstree.solver import scan_interval_for_im
 
 from conftest import draw_regime_params
@@ -286,6 +288,51 @@ class TestMirrorCoeffs:
             p = draw_regime_params(rng)
             m = int(rng.integers(1, (p.q - 1) // 2 + 1))
             assert sum(im_prime_coeffs(p, m)) == 0
+
+
+class TestBlockCoeffs:
+    @staticmethod
+    def _defining_pair(p: ModelParams, m: int, x: int) -> tuple[int, int]:
+        """R(x) and S(x) from their defining formulas, with theta = A/D."""
+        th = Fraction(p.theta)
+        A, D = th.numerator, th.denominator
+        a, b, c, d = A + (m - 1) * D, (p.q - m) * D, m * D, A + (p.q - m - 1) * D
+        P, Q = (a * x + b) ** p.k, (c * x + d) ** p.k
+        return (x * (c * P + d * Q) ** p.k - (a * P + b * Q) ** p.k,
+                x * (c * x + d) ** p.k - (a * x + b) ** p.k)
+
+    def test_quotient_of_two_step_by_one_step_polynomial(self):
+        # R and S * phi agree up to one constant factor at k^2+2 points, more
+        # than the degree of R: so S divides R with no remainder and phi, of
+        # degree k^2-k, is the quotient
+        rng = np.random.default_rng(89)
+        for _ in range(12):
+            p = draw_regime_params(rng, k_max=7)
+            m = int(rng.integers(1, p.q))
+            phi = im_coeffs(p, m)
+            assert len(phi) - 1 == p.k * p.k - p.k
+            assert math.gcd(*phi) == 1
+            r0, s0 = self._defining_pair(p, m, 2)
+            phi0 = _eval_exact(phi, Fraction(2))
+            for x in range(3, p.k * p.k + 4):
+                r, s = self._defining_pair(p, m, x)
+                assert r * s0 * phi0 == r0 * s * _eval_exact(phi, Fraction(x))
+
+    def test_roots_are_two_step_fixed_points(self):
+        p = ModelParams(q=3, k=3, theta=0.1)
+        for m, x in ((1, 0.06661568532450396), (2, 15.011479580653045)):
+            phi = im_coeffs(p, m)
+            assert abs(two_step_map(x, p, m) - x) <= 1e-12 * x
+            eps = Fraction(1, 10**9)
+            below, above = Fraction(x) * (1 - eps), Fraction(x) * (1 + eps)
+            assert _eval_exact(phi, below) * _eval_exact(phi, above) < 0
+
+    def test_inexact_division_raises(self):
+        with pytest.raises(ConvergenceError):
+            _exact_quotient([1, 0, 1], [-1, 1])      # x^2 + 1 by x - 1 leaves 2
+        with pytest.raises(ConvergenceError):
+            _exact_quotient([0, 1], [0, 2])          # x / 2x is not integral
+        assert _exact_quotient([-2, 1, 1], [-1, 1]) == [2, 1]
 
 
 class TestRecoverT:

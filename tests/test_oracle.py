@@ -8,10 +8,12 @@ from gibbstree import (
     PeriodTwoField,
     build_tree,
     check_consistency,
+    compat_map,
     finite_difference,
     mobius_deriv,
     mobius_map,
     finite_volume_log_weight,
+    residual_norm,
     solve_im,
     solve_im_prime,
     two_step_map,
@@ -141,6 +143,29 @@ class TestCheckConsistency:
         monkeypatch.setenv("GIBBS_TREE_MAX_ENUM", "plenty")
         with pytest.raises(ParameterError):
             check_consistency(tree, p33, PeriodTwoField.zero(3))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_half_solution_fails_in_both_orders(self, p33, n):
+        # h_odd = k F(h_even) holds exactly but h_even = k F(h_odd) does not;
+        # a single-order check at even depth would pass this field
+        h_even = np.array([0.7, -0.3])
+        half = PeriodTwoField(h_even, p33.k * compat_map(h_even, p33))
+        assert residual_norm(half, p33) > 0.1
+        tree = build_tree(3, n)
+        for field in (half, half.swapped()):
+            report = check_consistency(tree, p33, field, tol=1e-8)
+            assert not report.passed, (n, report.max_relative_error)
+            assert report.pairs_checked == 21
+
+    def test_solutions_pass_in_both_orders(self, p33):
+        block = solve_im(p33, 1)
+        mirror, _ = solve_im_prime(p33, 1)
+        for n in (2, 3, 4):
+            tree = build_tree(3, n)
+            for sol in block + mirror:
+                for field in (sol.full_field, sol.full_field.swapped()):
+                    report = check_consistency(tree, p33, field, tol=1e-12)
+                    assert report.passed, (n, sol.x, report.max_relative_error)
 
     def test_deterministic(self, p33):
         tree = build_tree(3, 2)

@@ -26,11 +26,10 @@ from gibbstree.solver import (
     _divide_out_unit_root,
     _positive_roots,
     _require_squarefree,
-    dedup_roots,
     scan_interval_for_im,
 )
 
-from conftest import mirror_roots_by_scan
+from conftest import block_roots_by_scan, mirror_roots_by_scan
 
 
 class TestBracketAndConfig:
@@ -136,23 +135,6 @@ class TestRefine:
         fn = lambda x: -1.0 if x <= lo else 1.0
         b = Bracket(lo=lo, hi=hi, f_lo=-1.0, f_hi=1.0)
         assert refine(fn, b, SolverConfig(refine_tol=1e-12)) in (lo, hi)
-
-
-class TestDedup:
-    def test_merges_near_duplicates(self):
-        fn = lambda x: (x - 1.0) ** 2
-        out = dedup_roots([1.0, 1.0 + 1e-10, 2.0], fn, tol=1e-8)
-        assert out == [1.0, 2.0]
-
-    def test_keeps_best_representative(self):
-        fn = lambda x: abs(x - 1.0)
-        out = dedup_roots([1.0 + 5e-9, 1.0], fn, tol=1e-8)
-        assert out == [1.0]
-
-    def test_tolerance_is_relative_to_magnitude(self):
-        fn = lambda x: 0.0
-        out = dedup_roots([1e6, 1e6 + 0.001], fn, tol=1e-8)
-        assert len(out) == 1
 
 
 class TestScanInterval:
@@ -333,6 +315,13 @@ class TestExactRootIsolation:
     def test_unit_root_divided_out_with_multiplicity(self):
         assert _divide_out_unit_root(_poly([-1, 1], [-1, 1], [-1, 1], [2, 1])) == [2, 1]
 
+    def test_nearest_float(self):
+        # each root comes back as the float nearest to it, on both sides of 1
+        cases = [([-2, 0, 1], math.sqrt(2.0)), ([-1, 3], 1 / 3), ([-10, 3], 10 / 3),
+                 ([-235742, 7], 235742 / 7), ([-3, 1_000_000], 3e-6)]
+        for c, root in cases:
+            assert _positive_roots(c) == [root]
+
     def test_triple_unit_root_at_dyadic_threshold(self):
         for q, k, m in ((3, 3, 1), (3, 7, 1)):
             c = im_prime_coeffs(ModelParams(q=q, k=k, theta=theta_critical(q, k)), m)
@@ -366,6 +355,48 @@ class TestMirrorNearCritical:
         sols, rejected = solve_im_prime(ModelParams(q=q, k=k, theta=theta), 1)
         assert [(s.z, s.t) for s in sols] == [(1.0, 1.0)]
         assert rejected == []
+
+
+class TestBlockNearCritical:
+    # the two roots branching off x = 1 sit ~1e-4 from it at
+    # theta_cr*(1-1e-8), inside one cell of any practical grid
+    CASES = [(3, 3, 1), (3, 3, 2), (3, 5, 1), (5, 7, 2), (4, 7, 1), (7, 7, 3), (3, 7, 2)]
+
+    @pytest.mark.parametrize("q,k,m", CASES)
+    def test_three_below(self, q, k, m):
+        t_cr = theta_critical(q, k)
+        for theta in (0.1, t_cr * (1.0 - 1e-8), t_cr - 1e-10):
+            sols = solve_im(ModelParams(q=q, k=k, theta=theta), m)
+            xs = [s.x for s in sols]
+            assert len(xs) == 3, (theta, xs)
+            assert xs[0] < 1.0 == xs[1] < xs[2]
+            assert all(s.residual_full <= 1e-9 for s in sols)
+
+    @pytest.mark.parametrize("q,k,m", CASES)
+    def test_exactly_one_at_and_above(self, q, k, m):
+        t_cr = theta_critical(q, k)
+        for theta in (t_cr, t_cr * (1.0 + 1e-8), 0.9 * t_cr + 0.1):
+            sols = solve_im(ModelParams(q=q, k=k, theta=theta), m)
+            assert [s.x for s in sols] == [1.0], theta
+
+
+class TestBlockScanParity:
+    def test_matches_dense_scan_away_from_threshold(self):
+        rng = np.random.default_rng(73)
+        checked = 0
+        while checked < 12:
+            k = int(rng.integers(3, 8))
+            q = int(rng.integers(3, k + 1))
+            p = ModelParams(q=q, k=k, theta=float(rng.uniform(0.01, 0.99)))
+            if abs(p.theta / theta_critical(q, k) - 1.0) < 0.05:
+                continue
+            m = int(rng.integers(1, q))
+            got = [s.x for s in solve_im(p, m) if s.x != 1.0]
+            # the float gap cannot resolve x = 1, where its slope is near 1
+            expected = [x for x in block_roots_by_scan(p, m) if abs(x - 1.0) > 1e-6]
+            assert len(got) == len(expected), (p, m, got, expected)
+            assert got == pytest.approx(expected, rel=1e-12)
+            checked += 1
 
 
 class TestMirrorScanParity:
