@@ -61,27 +61,16 @@ def classify(sol: ReducedScalar, params: ModelParams) -> Classification:
     return Classification.TRANSLATION_INVARIANT
 
 
-def describe(sol: ReducedScalar, params: ModelParams) -> MeasureDescriptor:
-    """Wrap a solved pair as a descriptor under the identity permutation."""
-    if sol.full_field is None:
-        raise ParameterError("solution has no embedded field; call embed_full first")
-    return MeasureDescriptor(
-        classification=classify(sol, params),
-        field=sol.full_field,
-        origin_set=sol.set_id,
-        origin_permutation=tuple(range(params.q - 1)),
-        source=sol,
-    )
-
-
 def orbit_expand(sol: ReducedScalar, params: ModelParams) -> list[MeasureDescriptor]:
     """All distinct fields obtained by permuting the free components.
 
     Applies each permutation of the q-1 free coordinates to both sublattice
     vectors at once, then drops duplicates (the anchored patterns have many
-    stabilizers).  Every survivor is residual-checked again after the
-    permutation; symmetry of the compatibility map makes this a tautology in
-    exact arithmetic, so a failure here means a numerics bug.
+    stabilizers).  The first descriptor is the solution itself under the
+    identity permutation, with a copy of its field.  Every survivor is
+    residual-checked again after the permutation; symmetry of the
+    compatibility map makes this a tautology in exact arithmetic, so a
+    failure here means a numerics bug.
     """
     base = sol.full_field
     if base is None:

@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 
 from .catalog import total_lower_bound
 from .errors import (
@@ -74,14 +75,6 @@ def _params_from(args, parser: argparse.ArgumentParser) -> ModelParams:
                        j_coupling=args.coupling, beta=1.0 / args.temp)
 
 
-def _row_dict(r) -> dict:
-    return {
-        "theta": r.theta, "set_kind": r.set_kind, "m": r.m,
-        "sol_index": r.sol_index, "x": r.x, "y": r.y, "z": r.z, "t": r.t,
-        "classification": r.classification, "residual_full": r.residual_full,
-    }
-
-
 def _print_rows(rows) -> None:
     print(f"{'set':<10} {'idx':>3} {'x':>18} {'y':>18} "
           f"{'z':>14} {'t':>14} {'class':<5} {'residual':>10}")
@@ -101,7 +94,7 @@ def cmd_solve(args, parser) -> int:
     if args.out:
         write_csv(rows, args.out)
     if args.json:
-        print(json.dumps([_row_dict(r) for r in rows], indent=2))
+        print(json.dumps([asdict(r) for r in rows], indent=2))
     else:
         print(f"q={params.q} k={params.k} theta={params.theta:.12g}")
         _print_rows(rows)

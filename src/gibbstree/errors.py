@@ -28,9 +28,9 @@ class SelectorSyntaxError(ParameterError):
 class ConvergenceError(GibbsTreeError):
     """A root solver could not finish.
 
-    Either bracket refinement ran out of its iteration budget, a root
-    polynomial could not be certified squarefree, or an exact polynomial
-    division left a remainder.
+    Either a root polynomial (the block quotient or the mirror polynomial)
+    could not be certified squarefree, an exact polynomial division left a
+    remainder, or the grid helper refine ran out of its iteration budget.
     """
 
 

@@ -97,16 +97,6 @@ class ReducedScalar:
             raise ParameterError("block solutions must not carry z or t")
 
 
-def _check_block_args(params: ModelParams, m: int) -> None:
-    if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m <= params.q - 1:
-        raise ParameterError(f"block index needs 1 <= m <= q-1, got m={m!r}, q={params.q}")
-
-
-def _check_mirror_args(params: ModelParams, m: int) -> None:
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1 or 2 * m > params.q - 1:
-        raise ParameterError(f"mirror index needs 1 <= m, 2m <= q-1, got m={m!r}, q={params.q}")
-
-
 def _check_x(x: float) -> float:
     x = float(x)
     if not math.isfinite(x) or x < 0.0:
@@ -122,7 +112,7 @@ def mobius_map(x: float, params: ModelParams, m: int) -> float:
     Strictly decreasing and positive on [0, inf) for 0 < theta < 1, with
     f(0) = (q-m)/(theta+q-m-1) and limit (theta+m-1)/m at infinity.
     """
-    _check_block_args(params, m)
+    InvariantSetId(SetKind.IM, m).validate_for(params.q)
     x = _check_x(x)
     theta, q = params.theta, params.q
     den = m * x + theta + q - m - 1.0
@@ -142,7 +132,7 @@ def two_step_map(x: float, params: ModelParams, m: int) -> float:
 
 def mobius_deriv(x: float, params: ModelParams, m: int) -> float:
     """Derivative of mobius_map: (theta-1)(theta+q-1) / (mx + theta+q-m-1)^2."""
-    _check_block_args(params, m)
+    InvariantSetId(SetKind.IM, m).validate_for(params.q)
     x = _check_x(x)
     theta, q = params.theta, params.q
     den = m * x + theta + q - m - 1.0
@@ -203,7 +193,7 @@ def im_prime_poly(z: float, params: ModelParams, m: int) -> float:
     agree to leading order near z = 1; values too large for float64 are
     clamped to +/- inf with the correct sign.
     """
-    _check_mirror_args(params, m)
+    InvariantSetId(SetKind.IM_PRIME, m).validate_for(params.q)
     z = _check_x(z)
     with mp.workdps(_POLY_DPS):
         b1, b2, qfac, pfac = _poly_terms(z, params, m)
@@ -216,7 +206,7 @@ def im_prime_poly_mp(z, params: ModelParams, m: int, dps: int = _POLY_DPS):
     Accepts mpmath arguments for z, so derivative estimates can difference
     the polynomial at step sizes float64 cancellation would destroy.
     """
-    _check_mirror_args(params, m)
+    InvariantSetId(SetKind.IM_PRIME, m).validate_for(params.q)
     with mp.workdps(dps):
         b1, b2, qfac, pfac = _poly_terms(z, params, m)
         return b1 ** params.k * qfac - b2 ** params.k * pfac
@@ -239,7 +229,7 @@ def im_prime_coeffs(params: ModelParams, m: int) -> list[int]:
     integer arithmetic with no rounding.  The degree is k(k+1)+1; for odd k
     the top coefficient cancels and is trimmed, leaving degree k(k+1).
     """
-    _check_mirror_args(params, m)
+    InvariantSetId(SetKind.IM_PRIME, m).validate_for(params.q)
     q, k = params.q, params.k
     theta = Fraction(params.theta)
     a, d = theta.numerator, theta.denominator
@@ -321,7 +311,7 @@ def im_coeffs(params: ModelParams, m: int) -> list[int]:
     than x = 1 are exactly the non-unit block solutions.  A nonzero remainder
     raises ConvergenceError.
     """
-    _check_block_args(params, m)
+    InvariantSetId(SetKind.IM, m).validate_for(params.q)
     q, k = params.q, params.k
     theta = Fraction(params.theta)
     A, D = theta.numerator, theta.denominator
@@ -358,7 +348,7 @@ def recover_t_from_z(z: float, params: ModelParams, m: int) -> float | None:
     Returns None when the denominator vanishes or the ratio is not strictly
     positive, in which case z does not yield a real positive solution.
     """
-    _check_mirror_args(params, m)
+    InvariantSetId(SetKind.IM_PRIME, m).validate_for(params.q)
     z = _check_x(z)
     th, q, k = params.theta, params.q, params.k
     den = th + m - 1.0 - m * z
@@ -378,7 +368,7 @@ def im_prime_system_residual(z: float, t: float, params: ModelParams, m: int) ->
 
     and the same with z and t exchanged.
     """
-    _check_mirror_args(params, m)
+    InvariantSetId(SetKind.IM_PRIME, m).validate_for(params.q)
     th, q, k = params.theta, params.q, params.k
     zk, tk = z ** k, t ** k
     den = th + m * zk + m * tk + q - 2.0 * m - 1.0

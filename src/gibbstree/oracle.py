@@ -33,6 +33,7 @@ from .model import (
     monochromatic_edges,
 )
 
+_MAX_VERTICES = 1_000_000
 _DEFAULT_MAX_ENUM = 10_000_000
 _ENUM_ENV_VAR = "GIBBS_TREE_MAX_ENUM"
 
@@ -62,7 +63,7 @@ class FiniteTree:
         return len(self.parent)
 
 
-def build_tree(k: int, n: int, max_vertices: int = 1_000_000) -> FiniteTree:
+def build_tree(k: int, n: int) -> FiniteTree:
     """Depth-n ball with root branching k+1 and inner branching k."""
     if not isinstance(k, int) or k < 1:
         raise ParameterError(f"k must be a positive integer, got {k!r}")
@@ -73,8 +74,8 @@ def build_tree(k: int, n: int, max_vertices: int = 1_000_000) -> FiniteTree:
     for _ in range(n):
         size += width
         width *= k
-    if size > max_vertices:
-        raise BudgetError(f"depth-{n} ball has {size} vertices, budget {max_vertices}")
+    if size > _MAX_VERTICES:
+        raise BudgetError(f"depth-{n} ball has {size} vertices, budget {_MAX_VERTICES}")
     parent = [-1]
     depth = [0]
     generations = [(0,)]
@@ -101,9 +102,7 @@ def build_tree(k: int, n: int, max_vertices: int = 1_000_000) -> FiniteTree:
     )
 
 
-def _resolve_max_enum(max_enum: int | None) -> int:
-    if max_enum is not None:
-        return max_enum
+def _max_enum() -> int:
     env = os.environ.get(_ENUM_ENV_VAR)
     if env is not None:
         try:
@@ -155,8 +154,8 @@ class ConsistencyReport:
 
 
 def check_consistency(tree: FiniteTree, params: ModelParams, field: PeriodTwoField,
-                      tol: float = 1e-8, n_pairs: int = 20, seed: int = 0,
-                      max_enum: int | None = None) -> ConsistencyReport:
+                      tol: float = 1e-8, n_pairs: int = 20,
+                      seed: int = 0) -> ConsistencyReport:
     """Test that summed depth-n weights track depth-(n-1) weights by one constant.
 
     Draws n_pairs random interior configurations (plus the all-ones one),
@@ -178,7 +177,7 @@ def check_consistency(tree: FiniteTree, params: ModelParams, field: PeriodTwoFie
     orders = (field,) if tree.n == 1 else (field, field.swapped())
     b = len(tree.boundary())
     terms = len(orders) * (n_pairs + 1) * b * params.q
-    max_enum = _resolve_max_enum(max_enum)
+    max_enum = _max_enum()
     if terms > max_enum:
         raise BudgetError(
             f"boundary sum needs {len(orders)} field order(s) x {n_pairs + 1} "

@@ -11,9 +11,9 @@ signs.  Root counts are therefore exact and independent of any grid.  Each
 root is then lifted to its partner value and embedded back into the full
 field system.
 
-scan_sign_changes, refine, Bracket, SolverConfig and scan_interval_for_im
-form a generic grid scan that no solver calls; perfbench/tracing.py still
-hooks scan_sign_changes and refine by name.
+scan_sign_changes, refine, Bracket and SolverConfig form a generic grid
+scan that no solver calls; perfbench/tracing.py still hooks
+scan_sign_changes and refine by name.
 """
 from __future__ import annotations
 
@@ -143,22 +143,6 @@ def refine(fn, bracket: Bracket, config: SolverConfig | None = None) -> float:
     )
 
 
-def scan_interval_for_im(params: ModelParams, m: int) -> tuple[float, float]:
-    """Interval guaranteed to contain every two-step fixed point for the block set.
-
-    Fixed points lie in the image of the k-th power of the fractional-linear
-    map, which is (((theta+m-1)/m)^k, ((q-m)/(theta+q-m-1))^k); each end is
-    widened by one percent.
-    """
-    theta, q, k = params.theta, params.q, params.k
-    f_inf = (theta + m - 1.0) / m
-    f_zero = (q - m) / (theta + q - m - 1.0)
-    if f_inf <= 0.0:
-        # unreachable for m >= 1 since theta > 0; kept as a defensive floor
-        return (theta ** k * 1e-2, f_zero ** k * 1e2)
-    return (f_inf ** k * 0.99, f_zero ** k * 1.01)
-
-
 @dataclass(frozen=True)
 class RejectedRoot:
     """A polynomial root that does not lift to a positive mirror solution."""
@@ -212,7 +196,7 @@ def _require_squarefree(coeffs: list[int]) -> None:
     """
     p = _CERT_PRIME
     if coeffs[-1] % p == 0:
-        raise ConvergenceError("mirror polynomial: leading coefficient vanishes "
+        raise ConvergenceError("root polynomial: leading coefficient vanishes "
                                "modulo the certificate prime")
     a = [c % p for c in coeffs]
     b = [i * c % p for i, c in enumerate(coeffs)][1:]
@@ -221,7 +205,7 @@ def _require_squarefree(coeffs: list[int]) -> None:
     while b:
         a, b = b, _poly_rem_mod(a, b, p)
     if len(a) > 1:
-        raise ConvergenceError("mirror polynomial is not certified squarefree: "
+        raise ConvergenceError("root polynomial is not certified squarefree: "
                                f"gcd with its derivative has degree {len(a) - 1} "
                                "modulo the certificate prime")
 
@@ -435,7 +419,9 @@ def solve_im_prime(params: ModelParams, m: int,
     solutions = []
     rejected = []
     for z in sorted(roots):
-        t = recover_t_from_z(z, params, m)
+        # z = t = 1 solves the system; recover_t_from_z would compute t^k
+        # there as a ratio of two values that both vanish as theta -> 1
+        t = 1.0 if z == 1.0 else recover_t_from_z(z, params, m)
         if t is None:
             rejected.append(RejectedRoot(z=z, reason="partner value t^k not positive"))
             continue

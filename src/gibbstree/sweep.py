@@ -36,24 +36,6 @@ class SweepRow:
     residual_full: float
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """All solutions of one invariant set at one theta, sorted ascending in x."""
-
-    theta: float
-    set_id: InvariantSetId
-    solutions: tuple[SweepRow, ...]
-
-    def __post_init__(self) -> None:
-        xs = [r.x for r in self.solutions]
-        if xs != sorted(xs):
-            raise ParameterError("record solutions must be sorted ascending in x")
-
-    @property
-    def count(self) -> int:
-        return len(self.solutions)
-
-
 def solve_set(params: ModelParams, set_id: InvariantSetId) -> list[ReducedScalar]:
     """Solve one invariant set, dropping mirror roots that fail to lift."""
     if set_id.kind is SetKind.IM:
@@ -103,32 +85,25 @@ def rows_for(params: ModelParams, set_id: InvariantSetId) -> list[SweepRow]:
     return rows
 
 
-def sweep_records(q: int, k: int, theta_min: float, theta_max: float, steps: int,
-                  set_ids: list[InvariantSetId]) -> list[SweepRecord]:
-    """Solve every requested set at `steps` equally spaced theta values."""
+def run_sweep(q: int, k: int, theta_min: float, theta_max: float, steps: int,
+              set_ids: list[InvariantSetId]) -> list[SweepRow]:
+    """Rows of every requested set at `steps` equally spaced theta values.
+
+    Rows run theta by theta, set by set within one theta, and ascending in
+    x within one set.
+    """
     if not isinstance(steps, int) or steps < 1:
         raise ParameterError(f"steps must be a positive integer, got {steps!r}")
     if not 0.0 < theta_min <= theta_max < 1.0:
         raise ParameterError(
             f"need 0 < theta_min <= theta_max < 1, got [{theta_min}, {theta_max}]"
         )
-    records: list[SweepRecord] = []
+    rows: list[SweepRow] = []
     for theta in np.linspace(theta_min, theta_max, steps):
         params = ModelParams(q=q, k=k, theta=float(theta))
         for set_id in set_ids:
-            records.append(SweepRecord(
-                theta=params.theta,
-                set_id=set_id,
-                solutions=tuple(rows_for(params, set_id)),
-            ))
-    return records
-
-
-def run_sweep(q: int, k: int, theta_min: float, theta_max: float, steps: int,
-              set_ids: list[InvariantSetId]) -> list[SweepRow]:
-    """Flat row view of sweep_records, ready for CSV emission."""
-    return [row for rec in sweep_records(q, k, theta_min, theta_max, steps, set_ids)
-            for row in rec.solutions]
+            rows.extend(rows_for(params, set_id))
+    return rows
 
 
 def _fmt(value: float | None) -> str:
@@ -188,8 +163,7 @@ def read_csv(path) -> list[SweepRow]:
 _SVG_COLORS = {"TI": "#1f6fb2", "P2": "#c44e52"}
 
 
-def write_bifurcation_svg(rows: list[SweepRow], path: str,
-                          width: int = 900, height: int = 600) -> None:
+def write_bifurcation_svg(rows: list[SweepRow], path: str) -> None:
     """Scatter of solution branches against theta as a standalone SVG file.
 
     Each row contributes its x and y values; translation-invariant points
@@ -198,7 +172,7 @@ def write_bifurcation_svg(rows: list[SweepRow], path: str,
     """
     if not rows:
         raise ParameterError("nothing to plot: empty row list")
-    margin = 60.0
+    width, height, margin = 900, 600, 60.0
     thetas = [r.theta for r in rows]
     values = [v for r in rows for v in (r.x, r.y)]
     t_lo, t_hi = min(thetas), max(thetas)

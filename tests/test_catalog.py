@@ -13,15 +13,13 @@ from gibbstree import (
     ResidualError,
     SetKind,
     classify,
-    count_im,
-    count_im_prime,
-    describe,
     embed_full,
     orbit_expand,
     solve_im,
     solve_im_prime,
     total_lower_bound,
 )
+from gibbstree.catalog import count_im, count_im_prime
 
 
 class TestClassify:
@@ -49,23 +47,25 @@ class TestClassify:
             classify(sol, p33)
 
 
-class TestDescribe:
-    def test_identity_permutation(self, p33):
+class TestOrbitExpand:
+    def test_first_member_is_identity(self, p33):
         sols = solve_im(p33, 1)
-        d = describe(sols[0], p33)
+        d = orbit_expand(sols[0], p33)[0]
         assert d.origin_permutation == (0, 1)
         assert d.origin_set.label() == "im:1"
         assert d.classification == Classification.PERIOD_TWO
-        assert d.field is sols[0].full_field
+        assert d.source is sols[0]
+        # an equal copy of the solution's field, not the same object
+        assert d.field is not sols[0].full_field
+        assert np.array_equal(d.field.h_even, sols[0].full_field.h_even)
+        assert np.array_equal(d.field.h_odd, sols[0].full_field.h_odd)
 
     def test_requires_embedding(self, p33):
         sol = ReducedScalar(x=2.0, y=3.0, set_id=InvariantSetId(SetKind.IM, 1))
         sol.residual_full = 0.0
         with pytest.raises(ParameterError):
-            describe(sol, p33)
+            orbit_expand(sol, p33)
 
-
-class TestOrbitExpand:
     def test_zero_field_orbit_is_trivial(self, p33_warm):
         sols = solve_im(p33_warm, 1)
         orbit = orbit_expand(sols[0], p33_warm)

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from gibbstree import CSV_HEADER, read_csv
+from gibbstree.sweep import CSV_HEADER, read_csv
 from gibbstree.cli import main
 
 
@@ -46,6 +46,13 @@ class TestSolve:
         assert code == 0
         rows = read_csv(str(path))
         assert len(rows) == 9
+
+    def test_mirror_unit_solution_near_theta_one(self, capsys):
+        code, out, _ = run(capsys, "solve", "--q", "3", "--k", "3",
+                           "--theta", "0.9999999467599381", "--set", "imprime:1")
+        assert code == 0
+        assert "1 solution(s)" in out
+        assert " TI " in out
 
     def test_coupling_temperature_form(self, capsys):
         # theta = exp(J/T); J = ln(0.1), T = 1 reproduces theta = 0.1

@@ -16,22 +16,24 @@ from gibbstree import (
     SetKind,
     compat_map,
     embed_full,
-    im_prime_coeffs,
     im_prime_poly,
     im_prime_poly_mp,
     im_prime_poly_slope_at_one,
-    im_prime_system_residual,
     mobius_deriv,
     mobius_map,
-    mobius_pow_k,
-    recover_t_from_z,
     theta_critical,
     two_step_map,
     two_step_slope_at_one,
 )
 from gibbstree.errors import ConvergenceError
-from gibbstree.invariants import _exact_quotient, im_coeffs
-from gibbstree.solver import scan_interval_for_im
+from gibbstree.invariants import (
+    _exact_quotient,
+    im_coeffs,
+    im_prime_coeffs,
+    im_prime_system_residual,
+    mobius_pow_k,
+    recover_t_from_z,
+)
 
 from conftest import draw_regime_params
 
@@ -106,10 +108,12 @@ class TestTwoStepMap:
             assert two_step_map(1.0, p, m) == pytest.approx(1.0, rel=1e-14)
 
     def test_increasing(self):
-        p = ModelParams(q=3, k=3, theta=0.1)
-        lo, hi = scan_interval_for_im(p, 1)
+        p, m = ModelParams(q=3, k=3, theta=0.1), 1
+        # the range of f^k, which holds every fixed point
+        lo = ((p.theta + m - 1) / m) ** p.k
+        hi = ((p.q - m) / (p.theta + p.q - m - 1)) ** p.k
         xs = np.geomspace(max(lo, 1e-6), hi, 50)
-        vals = [two_step_map(float(x), p, 1) for x in xs]
+        vals = [two_step_map(float(x), p, m) for x in xs]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
 

@@ -10,8 +10,10 @@ from gibbstree import (
     ParameterError,
     PeriodTwoField,
     ShapeError,
-    as_field,
     compat_map,
+)
+from gibbstree.model import (
+    as_field,
     finite_volume_log_weight,
     finite_volume_weight,
     hamiltonian,

@@ -12,13 +12,12 @@ from gibbstree import (
     finite_difference,
     mobius_deriv,
     mobius_map,
-    finite_volume_log_weight,
-    residual_norm,
     solve_im,
     solve_im_prime,
     two_step_map,
     two_step_slope_at_one,
 )
+from gibbstree.model import finite_volume_log_weight, residual_norm
 from gibbstree.oracle import _BoundarySum
 
 from conftest import boundary_log_sum_by_enumeration
@@ -124,11 +123,6 @@ class TestCheckConsistency:
         tree = build_tree(3, 1)
         with pytest.raises(ParameterError):
             check_consistency(tree, p33, PeriodTwoField.zero(4))
-
-    def test_enumeration_budget(self, p33):
-        tree = build_tree(3, 2)
-        with pytest.raises(BudgetError):
-            check_consistency(tree, p33, PeriodTwoField.zero(3), max_enum=100)
 
     def test_budget_env_override(self, p33, monkeypatch):
         tree = build_tree(3, 2)

@@ -4,29 +4,26 @@ import numpy as np
 import pytest
 
 from gibbstree import (
-    Bracket,
     ConvergenceError,
-    EvaluationError,
     HypothesisError,
     ModelParams,
     ParameterError,
-    SolverConfig,
     im_prime_poly,
-    im_prime_system_residual,
-    mobius_pow_k,
-    refine,
-    scan_sign_changes,
     solve_im,
     solve_im_prime,
     theta_critical,
     two_step_map,
 )
-from gibbstree.invariants import im_prime_coeffs
+from gibbstree.errors import EvaluationError
+from gibbstree.invariants import im_prime_coeffs, im_prime_system_residual, mobius_pow_k
 from gibbstree.solver import (
+    Bracket,
+    SolverConfig,
     _divide_out_unit_root,
     _positive_roots,
     _require_squarefree,
-    scan_interval_for_im,
+    refine,
+    scan_sign_changes,
 )
 
 from conftest import block_roots_by_scan, mirror_roots_by_scan
@@ -137,6 +134,12 @@ class TestRefine:
         assert refine(fn, b, SolverConfig(refine_tol=1e-12)) in (lo, hi)
 
 
+def _block_range(p, m):
+    """The range of f^k on (0, inf), which holds every block solution x."""
+    return (((p.theta + m - 1.0) / m) ** p.k,
+            ((p.q - m) / (p.theta + p.q - m - 1.0)) ** p.k)
+
+
 class TestScanInterval:
     def test_contains_unit(self):
         rng = np.random.default_rng(59)
@@ -145,18 +148,19 @@ class TestScanInterval:
             q = int(rng.integers(3, k + 1))
             p = ModelParams(q=q, k=k, theta=float(rng.uniform(0.01, 0.99)))
             m = int(rng.integers(1, q))
-            lo, hi = scan_interval_for_im(p, m)
+            lo, hi = _block_range(p, m)
             assert lo < 1.0 < hi
 
     def test_formula_endpoints(self):
+        # the ends are f^k at 0 and its limit at infinity
         p = ModelParams(q=3, k=3, theta=0.1)
-        lo, hi = scan_interval_for_im(p, 1)
-        assert lo == pytest.approx(((0.1 + 0.0) / 1.0) ** 3 * 0.99, rel=1e-12)
-        assert hi == pytest.approx((2.0 / 1.1) ** 3 * 1.01, rel=1e-12)
+        lo, hi = _block_range(p, 1)
+        assert hi == pytest.approx(mobius_pow_k(0.0, p, 1), rel=1e-12)
+        assert lo == pytest.approx(mobius_pow_k(1e15, p, 1), rel=1e-9)
 
     def test_all_roots_inside(self):
         p = ModelParams(q=3, k=3, theta=0.1)
-        lo, hi = scan_interval_for_im(p, 1)
+        lo, hi = _block_range(p, 1)
         for sol in solve_im(p, 1):
             assert lo < sol.x < hi
 
@@ -276,6 +280,15 @@ class TestSolveImPrime:
         for r in rejected:
             assert r.reason
             assert all(abs(r.z - s.z) > 1e-8 for s in sols)
+
+    @pytest.mark.parametrize("q,k", [(3, 3), (3, 4)])
+    @pytest.mark.parametrize("theta", [0.9999999467599381, 1.0 - 2.0 ** -40])
+    def test_unit_solution_kept_as_theta_nears_one(self, q, k, theta):
+        # both sides of the ratio for t^k vanish at z = 1 as theta -> 1; the
+        # unit root is lifted to t = 1 exactly instead
+        sols, rejected = solve_im_prime(ModelParams(q=q, k=k, theta=theta), 1)
+        assert [(s.z, s.t, s.x, s.y, s.residual_full) for s in sols] == [(1.0,) * 4 + (0.0,)]
+        assert rejected == []
 
     def test_regime_gate(self):
         with pytest.raises(HypothesisError):

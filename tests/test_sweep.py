@@ -2,21 +2,14 @@ import io
 
 import pytest
 
-from gibbstree import (
+from gibbstree import InvariantSetId, ParameterError, SelectorSyntaxError, SetKind
+from gibbstree.sweep import (
     CSV_HEADER,
-    InvariantSetId,
-    ModelParams,
-    ParameterError,
-    SelectorSyntaxError,
-    SetKind,
-    SweepRecord,
-    SweepRow,
     csv_text,
     parse_set_spec,
     read_csv,
     run_sweep,
     solve_set,
-    sweep_records,
     write_bifurcation_svg,
     write_csv,
 )
@@ -59,50 +52,52 @@ class TestParseSetSpec:
 
 
 class TestSweepRecords:
+    """run_sweep's rows: one per solution, theta by theta, set by set."""
+
     def test_single_step_matches_solver(self, p33):
         ids = [InvariantSetId(SetKind.IM, 1)]
-        records = sweep_records(3, 3, 0.1, 0.1, 1, ids)
-        assert len(records) == 1
-        rec = records[0]
-        assert rec.count == 3
-        assert rec.theta == 0.1
+        rows = run_sweep(3, 3, 0.1, 0.1, 1, ids)
+        assert len(rows) == 3
+        assert {r.theta for r in rows} == {0.1}
+        assert [r.sol_index for r in rows] == [0, 1, 2]
         direct = solve_set(p33, ids[0])
-        for row, sol in zip(rec.solutions, direct):
+        for row, sol in zip(rows, direct):
             assert row.x == pytest.approx(sol.x, rel=1e-12)
 
     def test_count_collapses_above_threshold(self):
         ids = [InvariantSetId(SetKind.IM, 1)]
-        lo = sweep_records(3, 3, 0.1, 0.1, 1, ids)[0]
-        hi = sweep_records(3, 3, 0.5, 0.5, 1, ids)[0]
-        assert lo.count == 3
-        assert hi.count == 1
+        assert len(run_sweep(3, 3, 0.1, 0.1, 1, ids)) == 3
+        assert len(run_sweep(3, 3, 0.5, 0.5, 1, ids)) == 1
 
     def test_grid_layout(self):
         ids = parse_set_spec("all", 3)
-        records = sweep_records(3, 3, 0.1, 0.3, 5, ids)
-        assert len(records) == 5 * 3
-        thetas = sorted({r.theta for r in records})
-        assert thetas == pytest.approx([0.1, 0.15, 0.2, 0.25, 0.3])
+        rows = run_sweep(3, 3, 0.1, 0.3, 5, ids)
+        # theta by theta, and the sets in selector order within one theta
+        groups = list(dict.fromkeys((r.theta, f"{r.set_kind}:{r.m}") for r in rows))
+        thetas = [0.1, 0.15, 0.2, 0.25, 0.3]
+        assert [th for th, _ in groups] == pytest.approx([th for th in thetas for _ in ids])
+        assert [label for _, label in groups] == [s.label() for s in ids] * 5
 
     def test_validation(self):
         ids = [InvariantSetId(SetKind.IM, 1)]
         with pytest.raises(ParameterError):
-            sweep_records(3, 3, 0.1, 0.3, 0, ids)
+            run_sweep(3, 3, 0.1, 0.3, 0, ids)
         with pytest.raises(ParameterError):
-            sweep_records(3, 3, 0.3, 0.1, 2, ids)
+            run_sweep(3, 3, 0.3, 0.1, 2, ids)
         with pytest.raises(ParameterError):
-            sweep_records(3, 3, 0.0, 0.3, 2, ids)
+            run_sweep(3, 3, 0.0, 0.3, 2, ids)
         with pytest.raises(ParameterError):
-            sweep_records(3, 3, 0.1, 1.0, 2, ids)
+            run_sweep(3, 3, 0.1, 1.0, 2, ids)
 
-    def test_record_rejects_unsorted_rows(self):
-        row = dict(theta=0.1, set_kind="im", m=1, sol_index=0, x=2.0, y=0.5,
-                   z=None, t=None, classification="P2", residual_full=0.0)
-        r1 = SweepRow(**row)
-        r2 = SweepRow(**{**row, "x": 1.0, "sol_index": 1})
-        with pytest.raises(ParameterError):
-            SweepRecord(theta=0.1, set_id=InvariantSetId(SetKind.IM, 1),
-                        solutions=(r1, r2))
+    def test_rows_ascending_in_x(self):
+        rows = run_sweep(3, 3, 0.05, 0.45, 9, parse_set_spec("all", 3))
+        groups = {}
+        for r in rows:
+            groups.setdefault((r.theta, r.set_kind, r.m), []).append(r)
+        for group in groups.values():
+            xs = [r.x for r in group]
+            assert xs == sorted(xs)
+            assert [r.sol_index for r in group] == list(range(len(group)))
 
 
 class TestCsv:
