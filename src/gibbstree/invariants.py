@@ -24,14 +24,15 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, HypothesisError, ParameterError
 from .model import ModelParams, PeriodTwoField, residual_norm
 
 # working precision for the mirror polynomial: its two product terms cancel
-# almost exactly near z = 1, which float64 cannot resolve
+# almost exactly near z = 1, which float64 cannot resolve.  mpmath is
+# imported inside the functions that use it: no solver does, and the CLI
+# would otherwise pay its import time on every run.
 _POLY_DPS = 40
 
 
@@ -160,6 +161,8 @@ def theta_critical(q: int, k: int) -> float:
 
 def _poly_terms(z, params: ModelParams, m: int):
     """The four mirror-polynomial factors at working precision."""
+    import mpmath as mp
+
     th = mp.mpf(params.theta)
     q, k = params.q, params.k
     zz = mp.mpf(z)
@@ -193,6 +196,8 @@ def im_prime_poly(z: float, params: ModelParams, m: int) -> float:
     agree to leading order near z = 1; values too large for float64 are
     clamped to +/- inf with the correct sign.
     """
+    import mpmath as mp
+
     InvariantSetId(SetKind.IM_PRIME, m).validate_for(params.q)
     z = _check_x(z)
     with mp.workdps(_POLY_DPS):
@@ -206,6 +211,8 @@ def im_prime_poly_mp(z, params: ModelParams, m: int, dps: int = _POLY_DPS):
     Accepts mpmath arguments for z, so derivative estimates can difference
     the polynomial at step sizes float64 cancellation would destroy.
     """
+    import mpmath as mp
+
     InvariantSetId(SetKind.IM_PRIME, m).validate_for(params.q)
     with mp.workdps(dps):
         b1, b2, qfac, pfac = _poly_terms(z, params, m)
@@ -219,6 +226,29 @@ def _poly_mul(a: list[int], b: list[int]) -> list[int]:
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
     return out
+
+
+def _poly_pow(p: list[int], k: int) -> list[int]:
+    """Coefficients of p^k, lowest degree first, for p[0] != 0.
+
+    J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7): with r = p^k,
+    r[0] = p[0]^k and j p[0] r[j] = sum_i ((k+1)i - j) p[i] r[j-i].  It
+    follows from p r' = k p' r; every division is exact because r has
+    integer coefficients.  Zero terms of p cost nothing.
+    """
+    if not p[0]:
+        raise ParameterError("power recurrence needs a nonzero constant term")
+    terms = [(i, pi) for i, pi in enumerate(p) if pi and i]
+    n = len(p) - 1
+    r = [p[0] ** k]
+    for j in range(1, n * k + 1):
+        acc = 0
+        for i, pi in terms:
+            if i > j:
+                break
+            acc += ((k + 1) * i - j) * pi * r[j - i]
+        r.append(acc // (j * p[0]))
+    return r
 
 
 def im_prime_coeffs(params: ModelParams, m: int) -> list[int]:
@@ -247,10 +277,7 @@ def im_prime_coeffs(params: ModelParams, m: int) -> list[int]:
     pfac[1] += a + (q - 2 * m - 1) * d
     pfac[k] += -m * d
     pfac[k + 1] += m * d
-    b1k, b2k = [1], [1]
-    for _ in range(k):
-        b1k, b2k = _poly_mul(b1k, b1), _poly_mul(b2k, b2)
-    left, right = _poly_mul(b1k, qfac), _poly_mul(b2k, pfac)
+    left, right = _poly_mul(_poly_pow(b1, k), qfac), _poly_mul(_poly_pow(b2, k), pfac)
     coeffs = [u - v for u, v in zip(left, right)]
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
@@ -319,10 +346,7 @@ def im_coeffs(params: ModelParams, m: int) -> list[int]:
     P, Q = _binomial_power(a, b, k), _binomial_power(c, d, k)
     U = [c * p + d * r for p, r in zip(P, Q)]
     V = [a * p + b * r for p, r in zip(P, Q)]
-    Uk, Vk = [1], [1]
-    for _ in range(k):
-        Uk, Vk = _poly_mul(Uk, U), _poly_mul(Vk, V)
-    R = _poly_sub([0] + Uk, Vk)
+    R = _poly_sub([0] + _poly_pow(U, k), _poly_pow(V, k))
     S = _primitive(_poly_sub([0] + Q, P))
     return _primitive(_exact_quotient(R, S))
 

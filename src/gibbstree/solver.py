@@ -6,7 +6,7 @@ quotient polynomial of invariants.im_coeffs or the mirror polynomial of
 invariants.im_prime_coeffs.  The solver divides out the known root 1,
 certifies the quotient squarefree modulo a prime, isolates every positive
 root by Descartes' rule of signs with bisection, and shrinks each isolating
-interval to the nearest float by bracketed Newton steps decided on exact
+interval to the nearest float by bracketed Laguerre steps decided on exact
 signs.  Root counts are therefore exact and independent of any grid.  Each
 root is then lifted to its partner value and embedded back into the full
 field system.
@@ -172,17 +172,23 @@ def _divide_out_unit_root(coeffs: list[int]) -> list[int]:
 
 
 def _poly_rem_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    """Remainder of a by b over GF(p); both trimmed, b nonzero."""
+    """Remainder of a by b over GF(p); both trimmed, b nonzero.
+
+    Eliminates from the top down on a copy of a; entries are reduced modulo
+    p only where a quotient coefficient is read, and once at the end.
+    """
+    inv = pow(b[-1], -1, p)
+    n = len(b) - 1
+    low = b[:-1]
     a = list(a)
-    inv = pow(b[-1], p - 2, p)
-    while len(a) >= len(b):
-        coef = a[-1] * inv % p
-        shift = len(a) - len(b)
-        for i, bi in enumerate(b[:-1]):
-            a[shift + i] = (a[shift + i] - coef * bi) % p
+    for top in range(len(a) - 1, n - 1, -1):
+        coef = a[top] * inv % p
+        if coef:
+            for i, bi in enumerate(low, top - n):
+                a[i] -= coef * bi
+    a = [c % p for c in a[:n]]
+    while a and a[-1] == 0:
         a.pop()
-        while a and a[-1] == 0:
-            a.pop()
     return a
 
 
@@ -268,18 +274,20 @@ def _sign_at(coeffs: list[int], z: Fraction) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _scaled_values(coeffs: list[int], num: int, e: int) -> tuple[int, int]:
-    """2^(e*n) c(x) and 2^(e*(n-1)) c'(x) at x = num / 2^e, exactly.
+def _scaled_values(coeffs: list[int], num: int, e: int) -> tuple[int, int, int]:
+    """2^(e*n) c(x), 2^(e*(n-1)) c'(x) and 2^(e*(n-2)) c''(x)/2 at x = num / 2^e, exactly.
 
-    Horner's rule for the value and the derivative of c, of degree n, at the
-    dyadic point: a shift replaces each multiplication by the denominator.
+    Horner's rule for the value and the first two Taylor coefficients of c,
+    of degree n, at the dyadic point, all in one pass: a shift replaces each
+    multiplication by the denominator.
     """
-    v, dv, shift = coeffs[-1], 0, 0
+    v, dv, d2v, shift = coeffs[-1], 0, 0, 0
     for c in reversed(coeffs[:-1]):
         shift += e
+        d2v = d2v * num + dv
         dv = dv * num + v
         v = v * num + (c << shift)
-    return v, dv
+    return v, dv, d2v
 
 
 def _split(lo, hi) -> float | None:
@@ -295,28 +303,35 @@ def _split(lo, hi) -> float | None:
 def _shrink_to_float(coeffs: list[int], lo: Fraction, hi: Fraction) -> float:
     """The float nearest to the one root of the polynomial in the bracket (lo, hi).
 
-    Bracketed Newton iteration on floats: each step is the float ratio of
-    the exact integer values of c and c' at the current point, and the exact
-    sign there decides which end of the bracket moves.  A step that leaves
-    the bracket, or fails to halve the previous one, is replaced by a
-    bisection; a step below half a unit in the last place probes the
-    neighbouring float instead.  Once no float lies strictly inside, an exact
-    sign at the midpoint of the two ends picks the nearer one.  (If two
-    roots share one float spacing, the result is within one unit in the last
-    place.)  Terminates because every step moves an end to a float strictly
-    inside the bracket.
+    Bracketed Laguerre iteration on floats (Numerical Recipes, 9.5): with
+    G = c'/c and H = G^2 - c''/c, taken as float ratios of the exact integer
+    values of c, c' and c'' at the current point, the step for degree n is
+    n / (G +- sqrt((n-1)(nH - G^2))), the sign chosen to enlarge the
+    denominator; where the radicand is negative or not finite it is the
+    Newton step 1/G.  The step is exact for a polynomial that behaves like
+    (x-r)^n, which is how c looks far from its roots, where Newton steps
+    are only about 1/n of the distance.  The exact sign at the current point
+    decides which end of the bracket moves.  A step that leaves the bracket,
+    or fails to halve the previous one, is replaced by a bisection; a step
+    below half a unit in the last place probes the neighbouring float
+    instead.  Once no float lies strictly inside, an exact sign at the
+    midpoint of the two ends picks the nearer one, so the result does not
+    depend on the steps taken.  (If two roots share one float spacing, the
+    result is within one unit in the last place.)  Terminates because every
+    step moves an end to a float strictly inside the bracket.
     """
     if lo == hi:
         return float(lo)
     # an end can be a root found exactly at a bisection midpoint; the bracket
     # still holds one more root, so the signs just inside the ends differ
     s_lo = _sign_at(coeffs, lo) or -_sign_at(coeffs, hi)
+    n = len(coeffs) - 1
     x = _split(lo, hi)
     last_step = math.inf
     while x is not None:
         num, den = x.as_integer_ratio()
         e = den.bit_length() - 1
-        v, dv = _scaled_values(coeffs, num, e)
+        v, dv, d2v = _scaled_values(coeffs, num, e)
         if v == 0:
             return x
         if (v > 0) == (s_lo > 0):
@@ -324,7 +339,12 @@ def _shrink_to_float(coeffs: list[int], lo: Fraction, hi: Fraction) -> float:
         else:
             hi = x
         try:
-            step = v / (dv << e)
+            g = (dv << e) / v
+            radicand = (n - 1) * ((n - 1) * g * g - n * ((d2v << (2 * e + 1)) / v))
+            if radicand >= 0.0 and math.isfinite(radicand):
+                step = n / (g + math.copysign(math.sqrt(radicand), g))
+            else:
+                step = 1.0 / g
         except (ZeroDivisionError, OverflowError):
             step = math.inf
         cand = x - step
@@ -388,13 +408,13 @@ def solve_im(params: ModelParams, m: int) -> list[ReducedScalar]:
     params.require_solver_regime()
     set_id = InvariantSetId(SetKind.IM, m)
     set_id.validate_for(params.q)
-    roots = _positive_roots(im_coeffs(params, m))
-    roots.append(1.0)  # x = 1 is always a fixed point
-    solutions = []
-    for x in sorted(roots):
-        sol = ReducedScalar(x=x, y=mobius_pow_k(x, params, m), set_id=set_id)
+    solutions = [ReducedScalar(x=x, y=mobius_pow_k(x, params, m), set_id=set_id)
+                 for x in _positive_roots(im_coeffs(params, m))]
+    # x = 1 is always a fixed point, and f(1) = 1 exactly
+    solutions.append(ReducedScalar(x=1.0, y=1.0, set_id=set_id))
+    solutions.sort(key=lambda s: s.x)
+    for sol in solutions:
         embed_full(sol, params)
-        solutions.append(sol)
     return solutions
 
 

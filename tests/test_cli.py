@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gibbstree
 from gibbstree.sweep import CSV_HEADER, read_csv
 from gibbstree.cli import main
 
@@ -205,3 +210,23 @@ class TestUsageErrors:
     def test_help_exits_clean(self, capsys):
         assert run(capsys, "--help")[0] == 0
         assert run(capsys, "solve", "--help")[0] == 0
+
+
+class TestRuntimeDependencies:
+    def test_solve_and_sweep_do_not_import_mpmath(self, tmp_path):
+        # a fresh interpreter, so no other test has imported mpmath already
+        script = (
+            "import sys\n"
+            "from gibbstree.cli import main\n"
+            "assert main(['solve', '--q', '4', '--k', '5', '--theta', '0.2', '--set', 'all']) == 0\n"
+            "assert main(['sweep', '--q', '3', '--k', '4', '--theta-min', '0.1', '--theta-max',"
+            " '0.6', '--steps', '3', '--set', 'all', '--out', sys.argv[1] + '/s.csv',"
+            " '--svg', sys.argv[1] + '/s.svg']) == 0\n"
+            "sys.exit('mpmath' in sys.modules)\n"
+        )
+        src = str(Path(gibbstree.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr

@@ -28,6 +28,8 @@ from gibbstree import (
 from gibbstree.errors import ConvergenceError
 from gibbstree.invariants import (
     _exact_quotient,
+    _poly_mul,
+    _poly_pow,
     im_coeffs,
     im_prime_coeffs,
     im_prime_system_residual,
@@ -337,6 +339,24 @@ class TestBlockCoeffs:
         with pytest.raises(ConvergenceError):
             _exact_quotient([0, 1], [0, 2])          # x / 2x is not integral
         assert _exact_quotient([-2, 1, 1], [-1, 1]) == [2, 1]
+
+
+class TestPolyPow:
+    def test_matches_repeated_multiplication(self):
+        rng = np.random.default_rng(151)
+        for _ in range(30):
+            p = [int(v) for v in rng.integers(-10**6, 10**6, size=int(rng.integers(1, 9)))]
+            for i in rng.choice(len(p), size=len(p) // 2, replace=False):
+                p[i] = 0          # zero terms, as in the sparse mirror factor
+            p[0] = int(rng.choice([-1, 1])) * int(rng.integers(1, 10**6))
+            want = [1]
+            for k in range(1, 10):
+                want = _poly_mul(want, p)
+                assert _poly_pow(p, k) == want
+
+    def test_zero_constant_term_rejected(self):
+        with pytest.raises(ParameterError):
+            _poly_pow([0, 1, 2], 3)
 
 
 class TestRecoverT:

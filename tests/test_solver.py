@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,12 @@ from gibbstree import (
     two_step_map,
 )
 from gibbstree.errors import EvaluationError
-from gibbstree.invariants import im_prime_coeffs, im_prime_system_residual, mobius_pow_k
+from gibbstree.invariants import (
+    im_coeffs,
+    im_prime_coeffs,
+    im_prime_system_residual,
+    mobius_pow_k,
+)
 from gibbstree.solver import (
     Bracket,
     SolverConfig,
@@ -334,6 +340,40 @@ class TestExactRootIsolation:
                  ([-235742, 7], 235742 / 7), ([-3, 1_000_000], 3e-6)]
         for c, root in cases:
             assert _positive_roots(c) == [root]
+
+    def test_roots_are_correctly_rounded(self):
+        # the root lies between the midpoints to both neighbouring floats,
+        # so no other float is nearer to it: block and mirror polynomials,
+        # k <= 9, near theta_cr and as theta -> 1
+        def sign_at(c, z):
+            acc = Fraction(0)
+            for ci in reversed(c):
+                acc = acc * z + ci
+            return (acc > 0) - (acc < 0)
+
+        rng = np.random.default_rng(211)
+        checked = 0
+        for _ in range(96):
+            k = int(rng.integers(3, 10))
+            q = int(rng.integers(3, k + 1))
+            t_cr = theta_critical(q, k)
+            theta = float(rng.choice([
+                t_cr * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** -rng.uniform(6.0, 10.0)),
+                1.0 - 10.0 ** -rng.uniform(3.0, 9.0),
+                rng.uniform(0.02, 0.98),
+            ]))
+            p = ModelParams(q=q, k=k, theta=theta)
+            if rng.random() < 0.5:
+                c = im_coeffs(p, int(rng.integers(1, q)))
+            else:
+                c = im_prime_coeffs(p, int(rng.integers(1, (q - 1) // 2 + 1)))
+            c = _divide_out_unit_root(c)
+            for x in _positive_roots(c):
+                below = (Fraction(x) + Fraction(math.nextafter(x, 0.0))) / 2
+                above = (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
+                assert sign_at(c, below) * sign_at(c, above) <= 0, (q, k, theta, x)
+                checked += 1
+        assert checked >= 40
 
     def test_triple_unit_root_at_dyadic_threshold(self):
         for q, k, m in ((3, 3, 1), (3, 7, 1)):

@@ -1,4 +1,5 @@
 import io
+import re
 
 import pytest
 
@@ -99,6 +100,15 @@ class TestSweepRecords:
             assert xs == sorted(xs)
             assert [r.sol_index for r in group] == list(range(len(group)))
 
+    def test_block_unit_rows_are_exact(self):
+        # f(1) = 1 exactly, so the unit row carries y = 1.0 with no rounding
+        for q, k in ((3, 3), (4, 5), (5, 7), (3, 7)):
+            ids = [InvariantSetId(SetKind.IM, m) for m in range(1, q)]
+            rows = run_sweep(q, k, 0.05, 0.95, 7, ids)
+            unit = [r for r in rows if r.x == 1.0]
+            assert len(unit) == 7 * len(ids)
+            assert all(r.y == 1.0 and r.classification == "TI" for r in unit)
+
 
 class TestCsv:
     def test_header_is_frozen(self):
@@ -151,6 +161,15 @@ class TestSvg:
         assert text.startswith("<svg")
         assert text.rstrip().endswith("</svg>")
         assert text.count("<circle") == 2 * len(rows)
+
+    def test_unit_branch_draws_at_one_height(self, tmp_path):
+        # above theta_cr = 0.4 every set holds only its unit solution
+        rows = run_sweep(3, 4, 0.5, 0.9, 5, parse_set_spec("all", 3))
+        assert {(r.x, r.y) for r in rows} == {(1.0, 1.0)}
+        path = tmp_path / "plot.svg"
+        write_bifurcation_svg(rows, str(path))
+        heights = set(re.findall(r'<circle [^>]*cy="([^"]+)"', path.read_text()))
+        assert len(heights) == 1
 
     def test_empty_rows_rejected(self, tmp_path):
         with pytest.raises(ParameterError):
