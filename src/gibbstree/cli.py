@@ -70,7 +70,11 @@ def _params_from(args, parser: argparse.ArgumentParser) -> ModelParams:
         parser.error("provide either --theta or both --coupling and --temp")
     if args.temp <= 0.0:
         parser.error("--temp must be positive")
-    theta = math.exp(args.coupling / args.temp)
+    try:
+        theta = math.exp(args.coupling / args.temp)
+    except OverflowError:
+        raise ParameterError(f"theta = exp(coupling/temp) overflows for --coupling "
+                             f"{args.coupling!r} --temp {args.temp!r}") from None
     return ModelParams(q=args.q, k=args.k, theta=theta,
                        j_coupling=args.coupling, beta=1.0 / args.temp)
 

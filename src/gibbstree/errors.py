@@ -28,9 +28,9 @@ class SelectorSyntaxError(ParameterError):
 class ConvergenceError(GibbsTreeError):
     """A root solver could not finish.
 
-    Either a root polynomial (the block quotient or the mirror polynomial)
-    could not be certified squarefree, an exact polynomial division left a
-    remainder, or the grid helper refine ran out of its iteration budget.
+    Either a root polynomial (the block two-step or the mirror polynomial)
+    could not be certified squarefree, or the grid helper refine ran out of
+    its iteration budget.
     """
 
 

@@ -13,9 +13,10 @@ collapses to scalar equations built from the fractional-linear map
 
     f(x) = ((theta+m-1)x + q-m) / (mx + theta+q-m-1)
 
-and its k-th power.  Block solutions are roots of the integer quotient
-polynomial of im_coeffs, mirror solutions roots of an explicit one-variable
-polynomial in z = x^(1/k) with the integer coefficients of im_prime_coeffs.
+and its k-th power.  Block solutions are roots of the two-step polynomial
+in x, mirror solutions roots of an explicit one-variable polynomial in
+z = x^(1/k).  im_coeffs and im_prime_coeffs give their exact integer
+coefficients, both in the form A^k alpha - B^k beta.
 """
 from __future__ import annotations
 
@@ -23,10 +24,11 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, HypothesisError, ParameterError
+from .errors import DomainError, HypothesisError, ParameterError
 from .model import ModelParams, PeriodTwoField, residual_norm
 
 # working precision for the mirror polynomial: its two product terms cancel
@@ -251,6 +253,16 @@ def _poly_pow(p: list[int], k: int) -> list[int]:
     return r
 
 
+def _power_difference(u: list[int], alpha: list[int], v: list[int], beta: list[int],
+                      k: int) -> list[int]:
+    """Coefficients of u^k alpha - v^k beta, lowest degree first, top zeros trimmed."""
+    left, right = _poly_mul(_poly_pow(u, k), alpha), _poly_mul(_poly_pow(v, k), beta)
+    coeffs = [s - t for s, t in zip_longest(left, right, fillvalue=0)]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
 def im_prime_coeffs(params: ModelParams, m: int) -> list[int]:
     """Exact integer coefficients of D^(k+1) p(z), lowest degree first.
 
@@ -277,78 +289,33 @@ def im_prime_coeffs(params: ModelParams, m: int) -> list[int]:
     pfac[1] += a + (q - 2 * m - 1) * d
     pfac[k] += -m * d
     pfac[k + 1] += m * d
-    left, right = _poly_mul(_poly_pow(b1, k), qfac), _poly_mul(_poly_pow(b2, k), pfac)
-    coeffs = [u - v for u, v in zip(left, right)]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _binomial_power(u: int, v: int, k: int) -> list[int]:
-    """Coefficients of (u x + v)^k, lowest degree first."""
-    return [math.comb(k, i) * u ** i * v ** (k - i) for i in range(k + 1)]
-
-
-def _poly_sub(a: list[int], b: list[int]) -> list[int]:
-    n = max(len(a), len(b))
-    return [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
-
-
-def _primitive(coeffs: list[int]) -> list[int]:
-    g = math.gcd(*coeffs)
-    return [c // g for c in coeffs]
-
-
-def _exact_quotient(num: list[int], den: list[int]) -> list[int]:
-    """num / den over the integers, lowest degree first; den must divide num.
-
-    Raises ConvergenceError when a quotient coefficient is not an integer or
-    a remainder is left, instead of returning an inexact quotient.
-    """
-    num = list(num)
-    n = len(den) - 1
-    quot = [0] * (len(num) - n)
-    for i in range(len(num) - 1, n - 1, -1):
-        qi, r = divmod(num[i], den[-1])
-        if r:
-            raise ConvergenceError("polynomial division is not exact: "
-                                   f"coefficient of degree {i} leaves {r}")
-        quot[i - n] = qi
-        if qi:
-            for j, dj in enumerate(den):
-                num[i - n + j] -= qi * dj
-    if any(num[:n]):
-        raise ConvergenceError("polynomial division leaves a nonzero remainder")
-    return quot
+    return _power_difference(b1, qfac, b2, pfac, k)
 
 
 def im_coeffs(params: ModelParams, m: int) -> list[int]:
-    """Exact integer coefficients of the block quotient polynomial, lowest degree first.
+    """Exact integer coefficients of the block two-step polynomial, lowest degree first.
 
     theta is a float, hence an exact dyadic rational A/D.  With
     a = A+(m-1)D, b = (q-m)D, c = mD, d = A+(q-m-1)D the map is
     f(x) = (ax+b)/(cx+d); put P = (ax+b)^k and Q = (cx+d)^k.  Fixed points of
     the two-step map are the positive roots of
 
-        R(x) = x (cP + dQ)^k - (aP + bQ)^k          (degree k^2+1),
+        R(x) = x (cP + dQ)^k - (aP + bQ)^k          (degree k^2+1).
 
-    and those of f^k alone, of which x = 1 is the only positive one, are the
-    roots of S(x) = x (cx+d)^k - (ax+b)^k, which divides R.  The result is
-    the primitive part of R / S, of degree k^2-k: its positive roots other
-    than x = 1 are exactly the non-unit block solutions.  A nonzero remainder
-    raises ConvergenceError.
+    R is divisible by S(x) = x (cx+d)^k - (ax+b)^k, whose roots are the fixed
+    points of f^k; f^k is decreasing, so x = 1 is the only positive one.
+    The positive roots of R other than x = 1 are therefore exactly the
+    non-unit block solutions.
     """
     InvariantSetId(SetKind.IM, m).validate_for(params.q)
     q, k = params.q, params.k
     theta = Fraction(params.theta)
     A, D = theta.numerator, theta.denominator
     a, b, c, d = A + (m - 1) * D, (q - m) * D, m * D, A + (q - m - 1) * D
-    P, Q = _binomial_power(a, b, k), _binomial_power(c, d, k)
+    P, Q = _poly_pow([b, a], k), _poly_pow([d, c], k)
     U = [c * p + d * r for p, r in zip(P, Q)]
     V = [a * p + b * r for p, r in zip(P, Q)]
-    R = _poly_sub([0] + _poly_pow(U, k), _poly_pow(V, k))
-    S = _primitive(_poly_sub([0] + Q, P))
-    return _primitive(_exact_quotient(R, S))
+    return _power_difference(U, [0, 1], V, [1], k)
 
 
 def im_prime_poly_slope_at_one(params: ModelParams) -> float:

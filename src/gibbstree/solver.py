@@ -2,9 +2,9 @@
 
 Both invariant families run one pipeline on the exact integer coefficients
 of a root polynomial (theta is a float, hence a dyadic rational): the block
-quotient polynomial of invariants.im_coeffs or the mirror polynomial of
+two-step polynomial of invariants.im_coeffs or the mirror polynomial of
 invariants.im_prime_coeffs.  The solver divides out the known root 1,
-certifies the quotient squarefree modulo a prime, isolates every positive
+certifies what is left squarefree modulo a prime, isolates every positive
 root by Descartes' rule of signs with bisection, and shrinks each isolating
 interval to the nearest float by bracketed Laguerre steps decided on exact
 signs.  Root counts are therefore exact and independent of any grid.  Each
@@ -379,12 +379,13 @@ def _root_bound(coeffs: list[int]) -> Fraction:
 def _positive_roots(coeffs: list[int]) -> list[float]:
     """Every positive root other than 1 of an integer polynomial, ascending.
 
-    Divides out the root 1 with its multiplicity and certifies the quotient
-    squarefree.  Roots in (0, 1) are isolated directly; roots in (1, inf)
-    are the reciprocals of the roots in (0, 1) of the reversed polynomial.
-    Root bounds of the polynomial and of its reverse close the brackets
-    that reach 0 or infinity.  Each root is returned as the float nearest
-    to it.
+    Divides out the root 1 with its multiplicity and certifies what is left
+    squarefree; for the block polynomial that covers its factor S/(x-1)
+    too, which has no positive root (see invariants.im_coeffs).  Roots in
+    (0, 1) are isolated directly; roots in (1, inf) are the reciprocals of
+    the roots in (0, 1) of the reversed polynomial.  Root bounds of the
+    polynomial and of its reverse close the brackets that reach 0 or
+    infinity.  Each root is returned as the float nearest to it.
     """
     coeffs = _divide_out_unit_root(coeffs)
     _require_squarefree(coeffs)
@@ -400,7 +401,7 @@ def solve_im(params: ModelParams, m: int) -> list[ReducedScalar]:
     """All block-pattern solutions (x, y) at the given parameters, ascending in x.
 
     x ranges over fixed points of the two-step map, found and counted
-    exactly as the positive roots of the block quotient polynomial (see the
+    exactly as the positive roots of the block two-step polynomial (see the
     module docstring); y = f(x)^k is the partner value, and x = 1 is always
     present.  Below theta_critical at least three solutions appear; at and
     above it only the unit one.

@@ -8,7 +8,6 @@ field-for-field.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,11 +109,9 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else repr(value)
 
 
-def write_csv(rows: list[SweepRow], target) -> None:
-    """Write rows to a path or text file object under the fixed header."""
-    own = isinstance(target, (str, bytes))
-    fh = open(target, "w", newline="") if own else target
-    try:
+def write_csv(rows: list[SweepRow], path) -> None:
+    """Write rows to a file under the fixed header."""
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER.split(","))
         for r in rows:
@@ -123,40 +120,40 @@ def write_csv(rows: list[SweepRow], target) -> None:
                 repr(r.x), repr(r.y), _fmt(r.z), _fmt(r.t),
                 r.classification, repr(r.residual_full),
             ])
-    finally:
-        if own:
-            fh.close()
-
-
-def csv_text(rows: list[SweepRow]) -> str:
-    buf = io.StringIO()
-    write_csv(rows, buf)
-    return buf.getvalue()
 
 
 def read_csv(path) -> list[SweepRow]:
-    """Read a sweep file back; exact float round-trip of write_csv output."""
+    """Read a sweep file back; exact float round-trip of write_csv output.
+
+    A malformed file raises ParameterError naming the offending line.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CSV_HEADER.split(","):
-            raise ParameterError(f"unexpected CSV header {header!r}")
         rows = []
-        for rec in reader:
-            if len(rec) != 10:
-                raise ParameterError(f"expected 10 fields per row, got {len(rec)}")
-            rows.append(SweepRow(
-                theta=float(rec[0]),
-                set_kind=rec[1],
-                m=int(rec[2]),
-                sol_index=int(rec[3]),
-                x=float(rec[4]),
-                y=float(rec[5]),
-                z=float(rec[6]) if rec[6] else None,
-                t=float(rec[7]) if rec[7] else None,
-                classification=rec[8],
-                residual_full=float(rec[9]),
-            ))
+        try:
+            header = next(reader, None)
+            if header != CSV_HEADER.split(","):
+                raise ParameterError(f"unexpected CSV header {header!r}")
+            for rec in reader:
+                if len(rec) != 10:
+                    raise ParameterError(f"line {reader.line_num}: expected 10 fields, "
+                                         f"got {len(rec)}")
+                rows.append(SweepRow(
+                    theta=float(rec[0]),
+                    set_kind=rec[1],
+                    m=int(rec[2]),
+                    sol_index=int(rec[3]),
+                    x=float(rec[4]),
+                    y=float(rec[5]),
+                    z=float(rec[6]) if rec[6] else None,
+                    t=float(rec[7]) if rec[7] else None,
+                    classification=rec[8],
+                    residual_full=float(rec[9]),
+                ))
+        except UnicodeDecodeError as exc:
+            raise ParameterError(f"CSV file is not UTF-8 text: {exc.reason}") from None
+        except (ValueError, csv.Error) as exc:
+            raise ParameterError(f"line {reader.line_num}: {exc}") from None
     return rows
 
 

@@ -77,6 +77,13 @@ class TestSolve:
                          "--theta", "0.1", "--set", "im:7")
         assert code == 2
 
+    def test_overflowing_coupling_temperature(self, capsys):
+        # exp(J/T) = exp(1000) is not a float
+        code, _, err = run(capsys, "solve", "--q", "3", "--k", "3",
+                           "--coupling", "1", "--temp", "1e-3")
+        assert code == 2
+        assert "overflows" in err
+
 
 class TestSweep:
     def test_writes_csv_and_svg(self, capsys, tmp_path):
@@ -185,6 +192,19 @@ class TestPlot:
         code, _, _ = run(capsys, "plot", "--csv", str(tmp_path / "no.csv"),
                          "--out", str(tmp_path / "plot.svg"))
         assert code == 74
+
+    @pytest.mark.parametrize("body", [
+        (CSV_HEADER + "\nabc,im,1,0,1.0,1.0,,,TI,0.0\n").encode(),
+        CSV_HEADER.encode() + b"\n\xff,im,1,0,1.0,1.0,,,TI,0.0\n",
+    ], ids=["non-number", "non-utf8"])
+    def test_malformed_csv(self, capsys, tmp_path, body):
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_bytes(body)
+        code, _, err = run(capsys, "plot", "--csv", str(csv_path),
+                           "--out", str(tmp_path / "plot.svg"))
+        assert code == 2
+        assert "parameter error" in err
+        assert not (tmp_path / "plot.svg").exists()
 
 
 class TestUsageErrors:

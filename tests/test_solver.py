@@ -230,6 +230,24 @@ class TestSolveIm:
         with pytest.raises(ParameterError):
             solve_im(p33, 3)
 
+    @pytest.mark.parametrize("q,k,theta,m,xs", [
+        (3, 3, 0.1, 1, ["0x1.10db9bdde8f24p-4", "0x1.45b36d3f738eap+2"]),
+        (4, 4, 0.05, 3, ["0x1.031626952dbb8p-2", "0x1.8d4f23a42d453p+3"]),
+        (4, 5, 0.2, 2, ["0x1.4971640da4e43p-3", "0x1.8ddc0813abbfdp+2"]),
+        (5, 6, 0.1, 2, ["0x1.8d0424ac9d416p-4", "0x1.8aec624d97443p+2"]),
+        (3, 7, 0.3, 1, ["0x1.0ee2b44b9a2e1p-10", "0x1.44ec9c2637503p+4"]),
+        (6, 8, 0.15, 4, ["0x1.79077abfae0ffp-3", "0x1.87aec7b48114cp+3"]),
+        (7, 9, 0.1, 3, ["0x1.af11931a45aa0p-4", "0x1.ae1c22c7ce44cp+2"]),
+        (3, 5, 0.5 * (1 - 1e-9), 1, ["0x1.ffeff2a3b828ap-1", "0x1.000806e1ae0f5p+0"]),
+        (4, 6, 1 - 1e-7, 1, []),
+    ])
+    def test_frozen_roots(self, q, k, theta, m, xs):
+        # every root to the bit, around the unit one: k = 3..9, one point
+        # 1e-9 below theta_cr = 1/2 and one near theta = 1
+        sols = solve_im(ModelParams(q=q, k=k, theta=theta), m)
+        want = sorted([float.fromhex(x) for x in xs] + [1.0])
+        assert [s.x for s in sols] == want
+
     def test_deterministic(self, p33):
         a = [(s.x, s.y) for s in solve_im(p33, 1)]
         b = [(s.x, s.y) for s in solve_im(p33, 1)]
@@ -379,6 +397,12 @@ class TestExactRootIsolation:
         for q, k, m in ((3, 3, 1), (3, 7, 1)):
             c = im_prime_coeffs(ModelParams(q=q, k=k, theta=theta_critical(q, k)), m)
             assert len(c) - len(_divide_out_unit_root(c)) == 3
+        # the block polynomial: a simple unit root off theta_cr, a triple one on it
+        for q, k, m in ((3, 3, 1), (3, 3, 2), (3, 7, 1), (3, 7, 2)):
+            t_cr = theta_critical(q, k)
+            for theta, mult in ((t_cr, 3), (0.5 * t_cr, 1), (0.5 + 0.5 * t_cr, 1)):
+                c = im_coeffs(ModelParams(q=q, k=k, theta=theta), m)
+                assert len(c) - len(_divide_out_unit_root(c)) == mult, (q, k, m, theta)
 
 
 class TestMirrorNearCritical:

@@ -1,4 +1,3 @@
-import io
 import re
 
 import pytest
@@ -6,7 +5,6 @@ import pytest
 from gibbstree import InvariantSetId, ParameterError, SelectorSyntaxError, SetKind
 from gibbstree.sweep import (
     CSV_HEADER,
-    csv_text,
     parse_set_spec,
     read_csv,
     run_sweep,
@@ -127,17 +125,13 @@ class TestCsv:
         block = run_sweep(3, 3, 0.1, 0.1, 1, [InvariantSetId(SetKind.IM, 1)])
         assert all(r.z is None and r.t is None for r in block)
 
-    def test_csv_text_starts_with_header(self):
-        rows = run_sweep(3, 3, 0.5, 0.5, 1, [InvariantSetId(SetKind.IM, 1)])
-        text = csv_text(rows)
-        assert text.splitlines()[0] == CSV_HEADER
-        assert len(text.splitlines()) == 2
-
-    def test_write_accepts_file_object(self):
-        rows = run_sweep(3, 3, 0.5, 0.5, 1, [InvariantSetId(SetKind.IM, 1)])
-        buf = io.StringIO()
-        write_csv(rows, buf)
-        assert buf.getvalue() == csv_text(rows)
+    def test_write_header_and_row_count(self, tmp_path):
+        rows = run_sweep(3, 3, 0.1, 0.1, 1, [InvariantSetId(SetKind.IM, 1)])
+        path = tmp_path / "rows.csv"
+        write_csv(rows, str(path))
+        lines = path.read_text().splitlines()
+        assert lines[0] == CSV_HEADER
+        assert len(rows) == 3 and len(lines) == 1 + len(rows)
 
     def test_read_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -149,6 +143,12 @@ class TestCsv:
         path = tmp_path / "bad.csv"
         path.write_text(CSV_HEADER + "\n0.1,im,1\n")
         with pytest.raises(ParameterError):
+            read_csv(str(path))
+
+    def test_read_names_line_of_non_number(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(CSV_HEADER + "\n0.1,im,1,0,1.0,1.0,,,TI,0.0\nabc,im,1,0,1.0,1.0,,,TI,0.0\n")
+        with pytest.raises(ParameterError, match="line 3"):
             read_csv(str(path))
 
 
