@@ -125,7 +125,7 @@ class TestCsv:
         block = run_sweep(3, 3, 0.1, 0.1, 1, [InvariantSetId(SetKind.IM, 1)])
         assert all(r.z is None and r.t is None for r in block)
 
-    def test_write_header_and_row_count(self, tmp_path):
+    def test_csv_text_starts_with_header(self, tmp_path):
         rows = run_sweep(3, 3, 0.1, 0.1, 1, [InvariantSetId(SetKind.IM, 1)])
         path = tmp_path / "rows.csv"
         write_csv(rows, str(path))
