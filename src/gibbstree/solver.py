@@ -4,12 +4,16 @@ Both invariant families run one pipeline on the exact integer coefficients
 of a root polynomial (theta is a float, hence a dyadic rational): the block
 two-step polynomial of invariants.im_coeffs or the mirror polynomial of
 invariants.im_prime_coeffs.  The solver divides out the known root 1,
-certifies what is left squarefree modulo a prime, isolates every positive
-root by Descartes' rule of signs with bisection, and shrinks each isolating
-interval to the nearest float by bracketed Laguerre steps decided on exact
-signs.  Root counts are therefore exact and independent of any grid.  Each
-root is then lifted to its partner value and embedded back into the full
-field system.
+isolates every positive root by Descartes' rule of signs with bisection, and
+shrinks each isolating interval to the nearest float by bracketed Laguerre
+steps decided on exact signs.  Root counts are therefore exact and
+independent of any grid.  A squarefree certificate modulo a prime runs only
+if the bisection goes deep, which is where a repeated root would keep it
+from ending.  The roots above 1 are the partners of those below it (the
+block value y = f(x)^k, the mirror partner t), so each is shrunk from a
+narrow bracket around its partner's float when that bracket shows an exact
+sign change.  Each root is then lifted to its partner value and embedded
+back into the full field system.
 
 scan_sign_changes, refine, Bracket and SolverConfig form a generic grid
 scan that no solver calls; perfbench/tracing.py still hooks
@@ -153,6 +157,10 @@ class RejectedRoot:
 
 # prime modulus of the squarefree certificate
 _CERT_PRIME = 2 ** 61 - 1
+# bisection depth past which _isolate_unit_interval certifies its input
+_CERT_DEPTH = 64
+# relative half-width of the bracket around a partner float
+_PARTNER_WIDTH = 2.0 ** -30
 
 
 def _divide_out_unit_root(coeffs: list[int]) -> list[int]:
@@ -198,7 +206,8 @@ def _require_squarefree(coeffs: list[int]) -> None:
     gcd(c, c') of degree 0 modulo a prime that does not divide the leading
     coefficient implies the same over the rationals, because reduction
     modulo such a prime keeps the degree of every factor.  The bisection in
-    _positive_roots only terminates on squarefree input.
+    _isolate_unit_interval only terminates on squarefree input, so it runs
+    this once it passes _CERT_DEPTH or meets a repeated root on a midpoint.
     """
     p = _CERT_PRIME
     if coeffs[-1] % p == 0:
@@ -239,10 +248,13 @@ def _isolate_unit_interval(coeffs: list[int]) -> list[tuple[Fraction, Fraction]]
     (a, b) at x in (0, 1); by Descartes' rule the sign variations of
     (1+x)^n c_I(1/(1+x)) bound their number and have its parity, so 0 and 1
     settle an interval and anything else is halved.  A root landing exactly
-    on a midpoint is returned as a bracket with lo == hi.  Needs squarefree
-    input to terminate.
+    on a midpoint is returned as a bracket with lo == hi.  A count of 0 or 1
+    is exact for any input, but only squarefree input lets the halving end,
+    so the input is certified squarefree (ConvergenceError otherwise) once
+    an interval is pushed past _CERT_DEPTH or a midpoint is a repeated root.
     """
     found = []
+    certified = False
     stack = [(coeffs, 0, 0)]   # sub-polynomial on (num/2^j, (num+1)/2^j)
     while stack:
         c, num, j = stack.pop()
@@ -255,6 +267,9 @@ def _isolate_unit_interval(coeffs: list[int]) -> list[tuple[Fraction, Fraction]]
         n = len(c) - 1
         left = [ci << (n - i) for i, ci in enumerate(c)]   # 2^n c(x/2)
         right = _taylor_shift_one(left)                    # 2^n c((x+1)/2)
+        if not certified and (j >= _CERT_DEPTH or right[0] == right[1] == 0):
+            _require_squarefree(coeffs)
+            certified = True
         if right[0] == 0:
             mid = Fraction(2 * num + 1, 2 ** (j + 1))
             found.append((mid, mid))
@@ -376,25 +391,48 @@ def _root_bound(coeffs: list[int]) -> Fraction:
     return Fraction(2) ** (exp + 1)
 
 
-def _positive_roots(coeffs: list[int]) -> list[float]:
+def _partner_bracket(coeffs: list[int], lo: Fraction, hi: Fraction,
+                     partners: list[float]) -> tuple[Fraction, Fraction]:
+    """A narrow bracket of the one root in (lo, hi) around a partner float, else (lo, hi).
+
+    The bracket y (1 +- _PARTNER_WIDTH), clipped to (lo, hi), is taken for
+    the first partner y inside (lo, hi) whose bracket ends have exact
+    nonzero opposite signs: it then holds the interval's one root.
+    """
+    for y in partners:
+        if lo < y < hi:
+            b_lo = max(lo, Fraction(y * (1.0 - _PARTNER_WIDTH)))
+            b_hi = min(hi, Fraction(y * (1.0 + _PARTNER_WIDTH)))
+            if _sign_at(coeffs, b_lo) * _sign_at(coeffs, b_hi) < 0:
+                return b_lo, b_hi
+    return lo, hi
+
+
+def _positive_roots(coeffs: list[int], partner=None) -> list[float]:
     """Every positive root other than 1 of an integer polynomial, ascending.
 
-    Divides out the root 1 with its multiplicity and certifies what is left
-    squarefree; for the block polynomial that covers its factor S/(x-1)
-    too, which has no positive root (see invariants.im_coeffs).  Roots in
-    (0, 1) are isolated directly; roots in (1, inf) are the reciprocals of
-    the roots in (0, 1) of the reversed polynomial.  Root bounds of the
-    polynomial and of its reverse close the brackets that reach 0 or
-    infinity.  Each root is returned as the float nearest to it.
+    Divides out the root 1 with its multiplicity.  Roots in (0, 1) are
+    isolated directly; roots in (1, inf) are the reciprocals of the roots in
+    (0, 1) of the reversed polynomial.  Root bounds of the polynomial and of
+    its reverse close the brackets that reach 0 or infinity.  A repeated
+    positive root raises ConvergenceError (see _isolate_unit_interval); one
+    off the positive axis does not, as it changes no count.  Each root is
+    returned as the float nearest to it, whatever bracket it is shrunk
+    from.  partner, if given, maps a root in (0, 1) to a float near another
+    root of the polynomial, or None; the roots in (1, inf) are then shrunk
+    from narrow brackets around those floats where possible (see
+    _partner_bracket).
     """
     coeffs = _divide_out_unit_root(coeffs)
-    _require_squarefree(coeffs)
     low = 1 / _root_bound(coeffs[::-1])
-    brackets = [(lo or low, hi) for lo, hi in _isolate_unit_interval(coeffs)]
+    roots = [_shrink_to_float(coeffs, lo or low, hi)
+             for lo, hi in _isolate_unit_interval(coeffs)]
+    partners = [y for y in map(partner, roots) if y is not None] if partner else []
     high = _root_bound(coeffs)
     for lo, hi in reversed(_isolate_unit_interval(coeffs[::-1])):
-        brackets.append((1 / hi, 1 / lo if lo else high))
-    return [_shrink_to_float(coeffs, lo, hi) for lo, hi in brackets]
+        bracket = _partner_bracket(coeffs, 1 / hi, 1 / lo if lo else high, partners)
+        roots.append(_shrink_to_float(coeffs, *bracket))
+    return roots
 
 
 def solve_im(params: ModelParams, m: int) -> list[ReducedScalar]:
@@ -410,7 +448,8 @@ def solve_im(params: ModelParams, m: int) -> list[ReducedScalar]:
     set_id = InvariantSetId(SetKind.IM, m)
     set_id.validate_for(params.q)
     solutions = [ReducedScalar(x=x, y=mobius_pow_k(x, params, m), set_id=set_id)
-                 for x in _positive_roots(im_coeffs(params, m))]
+                 for x in _positive_roots(im_coeffs(params, m),
+                                          lambda x: mobius_pow_k(x, params, m))]
     # x = 1 is always a fixed point, and f(1) = 1 exactly
     solutions.append(ReducedScalar(x=1.0, y=1.0, set_id=set_id))
     solutions.sort(key=lambda s: s.x)
@@ -434,7 +473,8 @@ def solve_im_prime(params: ModelParams, m: int,
     set_id = InvariantSetId(SetKind.IM_PRIME, m)
     set_id.validate_for(params.q)
 
-    roots = _positive_roots(im_prime_coeffs(params, m))
+    roots = _positive_roots(im_prime_coeffs(params, m),
+                            lambda z: recover_t_from_z(z, params, m))
     roots.append(1.0)  # p(1) = 0 exactly
 
     solutions = []

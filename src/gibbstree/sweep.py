@@ -8,6 +8,7 @@ field-for-field.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,7 +126,8 @@ def write_csv(rows: list[SweepRow], path) -> None:
 def read_csv(path) -> list[SweepRow]:
     """Read a sweep file back; exact float round-trip of write_csv output.
 
-    A malformed file raises ParameterError naming the offending line.
+    A malformed file, or a number that is not finite (nan, inf), raises
+    ParameterError naming the offending line.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -138,7 +140,7 @@ def read_csv(path) -> list[SweepRow]:
                 if len(rec) != 10:
                     raise ParameterError(f"line {reader.line_num}: expected 10 fields, "
                                          f"got {len(rec)}")
-                rows.append(SweepRow(
+                row = SweepRow(
                     theta=float(rec[0]),
                     set_kind=rec[1],
                     m=int(rec[2]),
@@ -149,7 +151,11 @@ def read_csv(path) -> list[SweepRow]:
                     t=float(rec[7]) if rec[7] else None,
                     classification=rec[8],
                     residual_full=float(rec[9]),
-                ))
+                )
+                values = (row.theta, row.x, row.y, row.z, row.t, row.residual_full)
+                if not all(v is None or math.isfinite(v) for v in values):
+                    raise ParameterError(f"line {reader.line_num}: non-finite number")
+                rows.append(row)
         except UnicodeDecodeError as exc:
             raise ParameterError(f"CSV file is not UTF-8 text: {exc.reason}") from None
         except (ValueError, csv.Error) as exc:

@@ -206,6 +206,19 @@ class TestPlot:
         assert "parameter error" in err
         assert not (tmp_path / "plot.svg").exists()
 
+    @pytest.mark.parametrize("rows,line", [
+        ("0.1,im,1,0,1.0,1.0,,,TI,0.0\n0.2,im,1,0,nan,1.0,,,TI,0.0", 3),
+        ("0.1,im,1,0,1.0,1.0,,,TI,inf", 2),
+    ], ids=["nan-x", "inf-residual"])
+    def test_non_finite_csv(self, capsys, tmp_path, rows, line):
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_text(f"{CSV_HEADER}\n{rows}\n")
+        code, _, err = run(capsys, "plot", "--csv", str(csv_path),
+                           "--out", str(tmp_path / "plot.svg"))
+        assert code == 2
+        assert f"line {line}: non-finite number" in err
+        assert not (tmp_path / "plot.svg").exists()
+
 
 class TestUsageErrors:
     def test_no_subcommand(self, capsys):

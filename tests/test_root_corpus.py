@@ -1,0 +1,68 @@
+"""Regression check: every root the solvers return, bit for bit.
+
+root_corpus.json holds float.hex of x, y, z and t of every solution, and
+every rejected mirror root with its reason, for a seeded set of parameter
+points with k <= 6: one uniform theta on each side of theta_cr, theta_cr
+itself and theta_cr (1 +- 1e-9), at every q and every block and mirror index.
+The test re-solves each point and compares exactly.
+
+Regenerate the file (only when a change is meant to move a root) with
+
+    PYTHONPATH=src python tests/test_root_corpus.py
+"""
+import json
+from pathlib import Path
+
+import numpy as np
+
+from gibbstree import ModelParams, solve_im, solve_im_prime, theta_critical
+
+CORPUS = Path(__file__).with_name("root_corpus.json")
+SEED = 17
+
+
+def _hex(v):
+    return None if v is None else float(v).hex()
+
+
+def corpus_cases():
+    """(q, k, theta, kind, m) for every case of the corpus, in a fixed order."""
+    rng = np.random.default_rng(SEED)
+    cases = []
+    for k in range(3, 7):
+        for q in range(3, k + 1):
+            t_cr = theta_critical(q, k)
+            thetas = (float(rng.uniform(0.02, t_cr)), float(rng.uniform(t_cr, 0.98)),
+                      t_cr, t_cr * (1.0 - 1e-9), t_cr * (1.0 + 1e-9))
+            for theta in thetas:
+                cases += [(q, k, theta, "im", m) for m in range(1, q)]
+                cases += [(q, k, theta, "im'", m) for m in range(1, (q - 1) // 2 + 1)]
+    return cases
+
+
+def solve_case(q: int, k: int, theta: float, kind: str, m: int) -> dict:
+    """One corpus record: the case and the hex of everything the solver returns."""
+    p = ModelParams(q=q, k=k, theta=theta)
+    if kind == "im":
+        solutions, rejected = solve_im(p, m), []
+    else:
+        solutions, rejected = solve_im_prime(p, m)
+    return {
+        "case": [q, k, theta.hex(), kind, m],
+        "solutions": [[_hex(s.x), _hex(s.y), _hex(s.z), _hex(s.t)] for s in solutions],
+        "rejected": [[_hex(r.z), r.reason] for r in rejected],
+    }
+
+
+def test_roots_match_corpus():
+    records = json.loads(CORPUS.read_text())
+    cases = corpus_cases()
+    assert len(records) == len(cases)
+    for record, case in zip(records, cases):
+        assert solve_case(*case) == record
+
+
+if __name__ == "__main__":
+    lines = [json.dumps(solve_case(*case)) for case in corpus_cases()]
+    CORPUS.write_text("[\n" + ",\n".join(lines) + "\n]\n")
+    print(f"wrote {len(lines)} records to {CORPUS}")

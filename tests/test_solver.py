@@ -22,6 +22,7 @@ from gibbstree.invariants import (
     im_prime_system_residual,
     mobius_pow_k,
 )
+from gibbstree import solver
 from gibbstree.solver import (
     Bracket,
     SolverConfig,
@@ -348,6 +349,57 @@ class TestExactRootIsolation:
         with pytest.raises(ConvergenceError):
             _require_squarefree(_poly([-2, 1], [-2, 1], [1, 1]))
         _require_squarefree(_poly([-2, 1], [-3, 1], [1, 1]))
+
+    @pytest.mark.parametrize("factors", [
+        ([-1, 3], [-1, 3], [-2, 1]),   # (3x-1)^2 (x-2): repeated in (0, 1), off the dyadics
+        ([-3, 1], [-3, 1], [-1, 2]),   # (x-3)^2 (2x-1): repeated in (1, inf)
+        ([-1, 2], [-1, 2], [-3, 1]),   # (2x-1)^2 (x-3): repeated on a bisection midpoint
+    ])
+    def test_repeated_positive_root_raises(self, factors):
+        # the certificate runs only once the bisection needs it, and still refuses
+        with pytest.raises(ConvergenceError):
+            _positive_roots(_poly(*factors))
+
+    def test_repeated_negative_root_is_ignored(self):
+        # (x+1)^2 (3x-1): Descartes' counts settle (0, 1) and (1, inf) before
+        # any repeated root matters, so no certificate runs
+        assert _positive_roots(_poly([1, 1], [1, 1], [-1, 3])) == [1 / 3]
+
+    @pytest.mark.parametrize("partner", [
+        lambda x: None,   # no partner
+        lambda x: 1.5,    # outside both isolating intervals, (2, 4) and (4, 32)
+        lambda x: 3.5,    # inside (2, 4), but no sign change across its bracket
+        lambda x: 3.0,    # the true partner
+    ])
+    def test_partner_bracket_falls_back(self, partner):
+        # (3z-1)(z-3)(z-7)(z+1): any partner gives the floats of no partner
+        c = _poly([-1, 3], [-3, 1], [-7, 1], [1, 1])
+        assert _positive_roots(c, partner) == _positive_roots(c) == [1 / 3, 3.0, 7.0]
+
+    def test_partner_brackets_in_both_families(self, monkeypatch):
+        # each root above 1 is shrunk from a bracket of relative width ~2^-29
+        # around its partner, and comes out bit for bit as from its
+        # isolating interval
+        widths = []
+        shrink = solver._shrink_to_float
+
+        def recording(coeffs, lo, hi):
+            root = shrink(coeffs, lo, hi)
+            if root > 1.0:
+                widths.append(float(hi - lo) / root)
+            return root
+
+        monkeypatch.setattr(solver, "_shrink_to_float", recording)
+        p = ModelParams(q=5, k=6, theta=0.1)
+        assert [s.x.hex() for s in solve_im(p, 2)] == [
+            "0x1.8d0424ac9d416p-4", "0x1.0000000000000p+0", "0x1.8aec624d97443p+2"]
+        sols, rejected = solve_im_prime(p, 2)
+        assert [s.z.hex() for s in sols] == [
+            "0x1.90c00c9b7921dp-1", "0x1.0000000000000p+0", "0x1.23d7a0a60793fp+0"]
+        assert rejected == []
+        assert len(widths) == 2 and all(w < 2.0 ** -28 for w in widths)
+        assert _positive_roots(im_coeffs(p, 2))[-1].hex() == "0x1.8aec624d97443p+2"
+        assert _positive_roots(im_prime_coeffs(p, 2))[-1].hex() == "0x1.23d7a0a60793fp+0"
 
     def test_unit_root_divided_out_with_multiplicity(self):
         assert _divide_out_unit_root(_poly([-1, 1], [-1, 1], [-1, 1], [2, 1])) == [2, 1]
