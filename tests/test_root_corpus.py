@@ -2,7 +2,7 @@
 
 root_corpus.json holds float.hex of x, y, z and t of every solution, and
 every rejected mirror root with its reason, for a seeded set of parameter
-points with k <= 6: one uniform theta on each side of theta_cr, theta_cr
+points with k <= 7: one uniform theta on each side of theta_cr, theta_cr
 itself and theta_cr (1 +- 1e-9), at every q and every block and mirror index.
 The test re-solves each point and compares exactly.
 
@@ -29,7 +29,7 @@ def corpus_cases():
     """(q, k, theta, kind, m) for every case of the corpus, in a fixed order."""
     rng = np.random.default_rng(SEED)
     cases = []
-    for k in range(3, 7):
+    for k in range(3, 8):
         for q in range(3, k + 1):
             t_cr = theta_critical(q, k)
             thetas = (float(rng.uniform(0.02, t_cr)), float(rng.uniform(t_cr, 0.98)),
