@@ -15,8 +15,11 @@ collapses to scalar equations built from the fractional-linear map
 
 and its k-th power.  Block solutions are roots of the two-step polynomial
 in x, mirror solutions roots of an explicit one-variable polynomial in
-z = x^(1/k).  im_coeffs and im_prime_coeffs give their exact integer
-coefficients, both in the form A^k alpha - B^k beta.
+z = x^(1/k).  im_coeffs and im_prime_coeffs give the exact integer
+coefficients of the polynomials the solver isolates, both in z = x^(1/k):
+the sparse block polynomial z U(z^k) - V(z^k), whose positive roots are
+the k-th roots of those of the two-step polynomial x U(x)^k - V(x)^k, and
+the mirror polynomial in the form A^k alpha - B^k beta.
 """
 from __future__ import annotations
 
@@ -293,19 +296,29 @@ def im_prime_coeffs(params: ModelParams, m: int) -> list[int]:
 
 
 def im_coeffs(params: ModelParams, m: int) -> list[int]:
-    """Exact integer coefficients of the block two-step polynomial, lowest degree first.
+    """Exact integer coefficients of the block root polynomial T, lowest degree first.
 
     theta is a float, hence an exact dyadic rational A/D.  With
     a = A+(m-1)D, b = (q-m)D, c = mD, d = A+(q-m-1)D the map is
-    f(x) = (ax+b)/(cx+d); put P = (ax+b)^k and Q = (cx+d)^k.  Fixed points of
-    the two-step map are the positive roots of
+    f(x) = (ax+b)/(cx+d); put P = (ax+b)^k, Q = (cx+d)^k, U = cP + dQ and
+    V = aP + bQ.  Fixed points of the two-step map are the positive roots of
 
-        R(x) = x (cP + dQ)^k - (aP + bQ)^k          (degree k^2+1).
+        R(x) = x U(x)^k - V(x)^k                    (degree k^2+1).
 
     R is divisible by S(x) = x (cx+d)^k - (ax+b)^k, whose roots are the fixed
     points of f^k; f^k is decreasing, so x = 1 is the only positive one.
     The positive roots of R other than x = 1 are therefore exactly the
-    non-unit block solutions.
+    non-unit block solutions.  a, b, c and d are positive, so U and V are
+    positive for x > 0, and at x = z^k with z > 0 R has the sign of
+
+        T(z) = z U(z^k) - V(z^k),
+
+    the polynomial returned: the block solutions are the k-th powers of its
+    positive roots.  T has R's degree, k^2+1, but only 2k+2 nonzero terms,
+    the coefficients of U at degrees 1 + ik and those of -V at degrees ik.
+    R(z^k) is the product of T(w z) over the k-th roots of unity w, so T is
+    squarefree where R is, and z = 1 is a root of T of the multiplicity of
+    x = 1 in R.
     """
     InvariantSetId(SetKind.IM, m).validate_for(params.q)
     q, k = params.q, params.k
@@ -313,9 +326,11 @@ def im_coeffs(params: ModelParams, m: int) -> list[int]:
     A, D = theta.numerator, theta.denominator
     a, b, c, d = A + (m - 1) * D, (q - m) * D, m * D, A + (q - m - 1) * D
     P, Q = _poly_pow([b, a], k), _poly_pow([d, c], k)
-    U = [c * p + d * r for p, r in zip(P, Q)]
-    V = [a * p + b * r for p, r in zip(P, Q)]
-    return _power_difference(U, [0, 1], V, [1], k)
+    coeffs = [0] * (k * k + 2)
+    for i, (p, r) in enumerate(zip(P, Q)):
+        coeffs[i * k + 1] = c * p + d * r
+        coeffs[i * k] = -(a * p + b * r)
+    return coeffs
 
 
 def im_prime_poly_slope_at_one(params: ModelParams) -> float:

@@ -1,19 +1,24 @@
 """Root solvers for the scalar block and mirror systems.
 
 Both invariant families run one pipeline on the exact integer coefficients
-of a root polynomial (theta is a float, hence a dyadic rational): the block
-two-step polynomial of invariants.im_coeffs or the mirror polynomial of
-invariants.im_prime_coeffs.  The solver divides out the known root 1,
+of a root polynomial in z = x^(1/k) (theta is a float, hence a dyadic
+rational): the sparse block polynomial T(z) = z U(z^k) - V(z^k) of
+invariants.im_coeffs, whose positive roots are the k-th roots of those of
+the two-step polynomial R(x) = x U(x)^k - V(x)^k, or the mirror polynomial
+of invariants.im_prime_coeffs.  The solver divides out the known root 1,
 isolates every positive root by Descartes' rule of signs with bisection, and
-shrinks each isolating interval to the nearest float by bracketed Laguerre
-steps decided on exact signs.  Root counts are therefore exact and
-independent of any grid.  A squarefree certificate modulo a prime runs only
-if the bisection goes deep, which is where a repeated root would keep it
-from ending.  The roots above 1 are the partners of those below it (the
-block value y = f(x)^k, the mirror partner t), so each is shrunk from a
-narrow bracket around its partner's float when that bracket shows an exact
-sign change.  Each root is then lifted to its partner value and embedded
-back into the full field system.
+shrinks each isolating interval by bracketed Laguerre steps decided on exact
+signs until no float lies inside.  A mirror root is then the nearer float;
+a block root's bracket is raised to the k-th power and x is the float
+nearest to the root of R in it, found by exact signs of R evaluated from U
+and V, so R's coefficients are never formed.  Root counts are therefore
+exact and independent of any grid.  A squarefree certificate modulo a prime
+runs only if the bisection goes deep, which is where a repeated root would
+keep it from ending.  The roots above 1 are the partners of those below it
+(the block value f(x) = y^(1/k), the mirror partner t), so each is shrunk
+from a narrow bracket around its partner's float when that bracket shows an
+exact sign change.  Each root is then lifted to its partner value and
+embedded back into the full field system.
 
 scan_sign_changes, refine, Bracket and SolverConfig form a generic grid
 scan that no solver calls; perfbench/tracing.py still hooks
@@ -38,6 +43,7 @@ from .invariants import (
     im_prime_poly,  # noqa: F401  unused; perfbench/tracing.py counts its calls here
     im_prime_poly_mp,  # noqa: F401  unused; perfbench/tracing.py counts its calls here
     im_prime_system_residual,
+    mobius_map,
     mobius_pow_k,
     recover_t_from_z,
     two_step_map,  # noqa: F401  unused; perfbench/tracing.py counts its calls here
@@ -279,14 +285,36 @@ def _isolate_unit_interval(coeffs: list[int]) -> list[tuple[Fraction, Fraction]]
     return sorted(found)
 
 
-def _sign_at(coeffs: list[int], z: Fraction) -> int:
-    """Exact sign of the polynomial at a rational point."""
-    num, den = z.numerator, z.denominator
-    acc, den_pow = coeffs[-1], 1
+def _scaled_value(coeffs: list[int], num: int, e: int) -> int:
+    """2^(e*n) c(x) at x = num / 2^e for c of degree n: Horner's rule with shifts."""
+    v, shift = coeffs[-1], 0
     for c in reversed(coeffs[:-1]):
-        den_pow *= den
-        acc = acc * num + c * den_pow
-    return (acc > 0) - (acc < 0)
+        shift += e
+        v = v * num + (c << shift)
+    return v
+
+
+def _homogeneous(coeffs: list[int], x: Fraction | float) -> int:
+    """den^n c(num/den) for c of degree n at x = num/den, dyadic or the reciprocal of a dyadic.
+
+    At a reciprocal x = 2^j/den the sum c_i num^i den^(n-i) is the reversed
+    polynomial at the dyadic point den/2^j, so both cases are evaluated by
+    shifts.  Every point the solver evaluates is of one of the two kinds:
+    floats, their midpoints, bisection points, and the reciprocal ends of
+    the brackets above 1.
+    """
+    num, den = x.as_integer_ratio()
+    if den & (den - 1):
+        coeffs, num, den = coeffs[::-1], den, num
+        if den & (den - 1):
+            raise EvaluationError(f"exact evaluation needs a dyadic point or its reciprocal, got {x}")
+    return _scaled_value(coeffs, num, den.bit_length() - 1)
+
+
+def _sign_at(coeffs: list[int], x: Fraction | float) -> int:
+    """Exact sign of the polynomial at a positive point (see _homogeneous)."""
+    v = _homogeneous(coeffs, x)
+    return (v > 0) - (v < 0)
 
 
 def _scaled_values(coeffs: list[int], num: int, e: int) -> tuple[int, int, int]:
@@ -315,12 +343,17 @@ def _split(lo, hi) -> float | None:
     return mid if lo < mid < hi else None
 
 
-def _shrink_to_float(coeffs: list[int], lo: Fraction, hi: Fraction) -> float:
-    """The float nearest to the one root of the polynomial in the bracket (lo, hi).
+def _shrink(coeffs: list[int], lo: Fraction, hi: Fraction,
+            ) -> tuple[Fraction | float, Fraction | float, int]:
+    """Narrow the bracket (lo, hi) of one root of the polynomial to about one float spacing.
 
-    Bracketed Laguerre iteration on floats (Numerical Recipes, 9.5): with
-    G = c'/c and H = G^2 - c''/c, taken as float ratios of the exact integer
-    values of c, c' and c'' at the current point, the step for degree n is
+    Returns (lo, hi, s_lo), with s_lo the sign of the polynomial just inside
+    lo; lo == hi if a step lands exactly on the root.  No float lies inside
+    the result, except possibly one next to an end that is not a float
+    (_split can miss it).  Bracketed Laguerre
+    iteration on floats (Numerical Recipes, 9.5): with G = c'/c and
+    H = G^2 - c''/c, taken as float ratios of the exact integer values of c,
+    c' and c'' at the current point, the step for degree n is
     n / (G +- sqrt((n-1)(nH - G^2))), the sign chosen to enlarge the
     denominator; where the radicand is negative or not finite it is the
     Newton step 1/G.  The step is exact for a polynomial that behaves like
@@ -329,14 +362,11 @@ def _shrink_to_float(coeffs: list[int], lo: Fraction, hi: Fraction) -> float:
     decides which end of the bracket moves.  A step that leaves the bracket,
     or fails to halve the previous one, is replaced by a bisection; a step
     below half a unit in the last place probes the neighbouring float
-    instead.  Once no float lies strictly inside, an exact sign at the
-    midpoint of the two ends picks the nearer one, so the result does not
-    depend on the steps taken.  (If two roots share one float spacing, the
-    result is within one unit in the last place.)  Terminates because every
-    step moves an end to a float strictly inside the bracket.
+    instead.  Terminates because every step moves an end to a float
+    strictly inside the bracket.
     """
     if lo == hi:
-        return float(lo)
+        return lo, hi, 0
     # an end can be a root found exactly at a bisection midpoint; the bracket
     # still holds one more root, so the signs just inside the ends differ
     s_lo = _sign_at(coeffs, lo) or -_sign_at(coeffs, hi)
@@ -348,7 +378,7 @@ def _shrink_to_float(coeffs: list[int], lo: Fraction, hi: Fraction) -> float:
         e = den.bit_length() - 1
         v, dv, d2v = _scaled_values(coeffs, num, e)
         if v == 0:
-            return x
+            return x, x, 0
         if (v > 0) == (s_lo > 0):
             lo = x
         else:
@@ -372,11 +402,64 @@ def _shrink_to_float(coeffs: list[int], lo: Fraction, hi: Fraction) -> float:
             if cand is not None:
                 last_step = abs(cand - x)
         x = cand if cand is not None and lo < cand < hi else None
-    mid = (Fraction(lo) + Fraction(hi)) / 2
-    s = _sign_at(coeffs, mid)
+    return lo, hi, s_lo
+
+
+def _nearest_float(sign, lo, hi, s_lo: int) -> float:
+    """The float nearest to the one root in [lo, hi] of an exact sign function.
+
+    sign(x) is exact at every dyadic rational; s_lo is its sign just inside
+    lo, and lo == hi means the root is lo.  Bisects over the floats strictly
+    inside (lo, hi), then picks the nearer of the two floats around what is
+    left by the exact sign at their midpoint, so the result does not depend
+    on how the bracket was found.  No sign is taken outside (lo, hi).
+    """
+    if lo == hi:
+        return float(lo)
+    # the floats f_lo <= lo < hi <= f_hi nearest to the ends: every float
+    # strictly between them lies strictly inside (lo, hi)
+    f_lo, f_hi = float(lo), float(hi)
+    if f_lo > lo:
+        f_lo = math.nextafter(f_lo, 0.0)
+    if f_hi < hi:
+        f_hi = math.nextafter(f_hi, math.inf)
+    x = _split(f_lo, f_hi)
+    while x is not None:
+        s = sign(x)
+        if s == 0:
+            return x
+        if s == s_lo:
+            lo = f_lo = x
+        else:
+            hi = f_hi = x
+        x = _split(f_lo, f_hi)
+    mid = (Fraction(f_lo) + Fraction(f_hi)) / 2
+    if mid <= lo:
+        return f_hi
+    if mid >= hi:
+        return f_lo
+    s = sign(mid)
     if s == 0:
         return float(mid)
-    return float(hi) if s == s_lo else float(lo)
+    return f_hi if s == s_lo else f_lo
+
+
+def _two_step_sign(coeffs: list[int], k: int):
+    """Exact sign function of R(x) = x U(x)^k - V(x)^k, from the coefficients of T.
+
+    T(z) = z U(z^k) - V(z^k) holds the coefficients of U at degrees 1 + ik
+    and those of -V at degrees ik.  At x = num/den, den^(k^2+1) R(x) is
+    num Ut^k - den Vt^k with Ut = den^k U(x) and Vt = den^k V(x) evaluated
+    homogeneously (see _homogeneous).
+    """
+    u, v = coeffs[1::k], [-c for c in coeffs[::k]]
+
+    def sign(x) -> int:
+        num, den = x.as_integer_ratio()
+        r = num * _homogeneous(u, x) ** k - den * _homogeneous(v, x) ** k
+        return (r > 0) - (r < 0)
+
+    return sign
 
 
 def _root_bound(coeffs: list[int]) -> Fraction:
@@ -408,7 +491,7 @@ def _partner_bracket(coeffs: list[int], lo: Fraction, hi: Fraction,
     return lo, hi
 
 
-def _positive_roots(coeffs: list[int], partner=None) -> list[float]:
+def _positive_roots(coeffs: list[int], partner=None, k: int = 1) -> list[float]:
     """Every positive root other than 1 of an integer polynomial, ascending.
 
     Divides out the root 1 with its multiplicity.  Roots in (0, 1) are
@@ -418,20 +501,38 @@ def _positive_roots(coeffs: list[int], partner=None) -> list[float]:
     positive root raises ConvergenceError (see _isolate_unit_interval); one
     off the positive axis does not, as it changes no count.  Each root is
     returned as the float nearest to it, whatever bracket it is shrunk
-    from.  partner, if given, maps a root in (0, 1) to a float near another
-    root of the polynomial, or None; the roots in (1, inf) are then shrunk
-    from narrow brackets around those floats where possible (see
+    from.  With k > 1 the coefficients are those of T(z) = z U(z^k) - V(z^k)
+    (see invariants.im_coeffs), and each root z is returned as the float
+    nearest to x = z^k, a root of R(x) = x U(x)^k - V(x)^k: the bracket of z
+    is raised to the k-th power and rounded by the exact signs of R.  Its
+    sign just inside the bracket is that of T, which below 1 is the sign of
+    T / (z - 1)^mu times (-1)^mu, mu the multiplicity of the root 1.
+    partner, if given, maps a returned root in (0, 1) to a float near
+    another root of the polynomial, or None; the roots in (1, inf) are then
+    shrunk from narrow brackets around those floats where possible (see
     _partner_bracket).
     """
-    coeffs = _divide_out_unit_root(coeffs)
+    sign_x = _two_step_sign(coeffs, k) if k > 1 else None
+    deflated = _divide_out_unit_root(coeffs)
+    # below 1, dividing out (z - 1)^mu flips the sign when mu is odd
+    flip_below = (len(coeffs) - len(deflated)) % 2 == 1
+    coeffs = deflated
+
+    def nearest(lo, hi) -> float:
+        lo, hi, s_lo = _shrink(coeffs, lo, hi)
+        if k == 1:
+            return _nearest_float(lambda x: _sign_at(coeffs, x), lo, hi, s_lo)
+        if flip_below and hi <= 1:
+            s_lo = -s_lo
+        return _nearest_float(sign_x, Fraction(lo) ** k, Fraction(hi) ** k, s_lo)
+
     low = 1 / _root_bound(coeffs[::-1])
-    roots = [_shrink_to_float(coeffs, lo or low, hi)
-             for lo, hi in _isolate_unit_interval(coeffs)]
+    roots = [nearest(lo or low, hi) for lo, hi in _isolate_unit_interval(coeffs)]
     partners = [y for y in map(partner, roots) if y is not None] if partner else []
     high = _root_bound(coeffs)
     for lo, hi in reversed(_isolate_unit_interval(coeffs[::-1])):
-        bracket = _partner_bracket(coeffs, 1 / hi, 1 / lo if lo else high, partners)
-        roots.append(_shrink_to_float(coeffs, *bracket))
+        roots.append(nearest(*_partner_bracket(coeffs, 1 / hi, 1 / lo if lo else high,
+                                               partners)))
     return roots
 
 
@@ -439,17 +540,18 @@ def solve_im(params: ModelParams, m: int) -> list[ReducedScalar]:
     """All block-pattern solutions (x, y) at the given parameters, ascending in x.
 
     x ranges over fixed points of the two-step map, found and counted
-    exactly as the positive roots of the block two-step polynomial (see the
-    module docstring); y = f(x)^k is the partner value, and x = 1 is always
-    present.  Below theta_critical at least three solutions appear; at and
-    above it only the unit one.
+    exactly as the positive roots of the block two-step polynomial, through
+    their k-th roots (see the module docstring); y = f(x)^k is the partner
+    value, and x = 1 is always present.  Below theta_critical at least three
+    solutions appear; at and above it only the unit one.
     """
     params.require_solver_regime()
     set_id = InvariantSetId(SetKind.IM, m)
     set_id.validate_for(params.q)
+    # the partner y = f(x)^k of a root x is a root of R, so f(x) is one of T
     solutions = [ReducedScalar(x=x, y=mobius_pow_k(x, params, m), set_id=set_id)
                  for x in _positive_roots(im_coeffs(params, m),
-                                          lambda x: mobius_pow_k(x, params, m))]
+                                          lambda x: mobius_map(x, params, m), params.k)]
     # x = 1 is always a fixed point, and f(1) = 1 exactly
     solutions.append(ReducedScalar(x=1.0, y=1.0, set_id=set_id))
     solutions.sort(key=lambda s: s.x)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,6 +30,47 @@ def draw_regime_params(rng: np.random.Generator, k_max: int = 9) -> ModelParams:
 @pytest.fixture
 def draw_regime():
     return draw_regime_params
+
+
+def _block_constants(params: ModelParams, m: int) -> tuple[int, int, int, int]:
+    """a, b, c, d of the block map f(x) = (ax+b)/(cx+d), with theta = A/D."""
+    th = Fraction(params.theta)
+    A, D = th.numerator, th.denominator
+    q = params.q
+    return A + (m - 1) * D, (q - m) * D, m * D, A + (q - m - 1) * D
+
+
+def two_step_value(params: ModelParams, m: int, x):
+    """The block two-step polynomial R(x) = x U(x)^k - V(x)^k from its defining formula.
+
+    U = cP + dQ and V = aP + bQ with P = (ax+b)^k and Q = (cx+d)^k; exact at
+    an integer or Fraction x.
+    """
+    a, b, c, d = _block_constants(params, m)
+    k = params.k
+    P, Q = (a * x + b) ** k, (c * x + d) ** k
+    return x * (c * P + d * Q) ** k - (a * P + b * Q) ** k
+
+
+def _mul(f: list[int], g: list[int]) -> list[int]:
+    out = [0] * (len(f) + len(g) - 1)
+    for i, fi in enumerate(f):
+        for j, gj in enumerate(g):
+            out[i + j] += fi * gj
+    return out
+
+
+def two_step_coeffs(params: ModelParams, m: int) -> list[int]:
+    """Integer coefficients of R, lowest degree first, expanded by repeated multiplication."""
+    a, b, c, d = _block_constants(params, m)
+    P, Q, Uk, Vk = [1], [1], [1], [1]
+    for _ in range(params.k):
+        P, Q = _mul(P, [b, a]), _mul(Q, [d, c])
+    U = [c * p + d * r for p, r in zip(P, Q)]
+    V = [a * p + b * r for p, r in zip(P, Q)]
+    for _ in range(params.k):
+        Uk, Vk = _mul(Uk, U), _mul(Vk, V)
+    return [s - t for s, t in zip([0] + Uk, Vk + [0])]
 
 
 def _roots_by_sign_scan(sign, xs: list[float]) -> list[float]:

@@ -21,6 +21,7 @@ from gibbstree import (
     im_prime_poly_slope_at_one,
     mobius_deriv,
     mobius_map,
+    solve_im,
     theta_critical,
     two_step_map,
     two_step_slope_at_one,
@@ -34,8 +35,9 @@ from gibbstree.invariants import (
     mobius_pow_k,
     recover_t_from_z,
 )
+from gibbstree.solver import _divide_out_unit_root
 
-from conftest import draw_regime_params
+from conftest import draw_regime_params, two_step_value
 
 
 class TestInvariantSetId:
@@ -295,35 +297,70 @@ class TestMirrorCoeffs:
 
 
 class TestBlockCoeffs:
-    @staticmethod
-    def _two_step_value(p: ModelParams, m: int, x: int) -> int:
-        """R(x) from its defining formula, with theta = A/D."""
-        th = Fraction(p.theta)
-        A, D = th.numerator, th.denominator
-        a, b, c, d = A + (m - 1) * D, (p.q - m) * D, m * D, A + (p.q - m - 1) * D
-        P, Q = (a * x + b) ** p.k, (c * x + d) ** p.k
-        return x * (c * P + d * Q) ** p.k - (a * P + b * Q) ** p.k
-
     def test_two_step_polynomial_from_defining_formula(self):
-        # equal values at k^2+2 points, more than the degree k^2+1: the
-        # coefficients are exactly those of R
+        # U and V read off T(z) = z U(z^k) - V(z^k) give x U(x)^k - V(x)^k
+        # equal to R at k^2+2 points, more than its degree k^2+1: they are
+        # the U and V of R, up to a common sign that positivity fixes
         rng = np.random.default_rng(89)
         for _ in range(12):
             p = draw_regime_params(rng, k_max=7)
             m = int(rng.integers(1, p.q))
-            r = im_coeffs(p, m)
-            assert len(r) - 1 == p.k * p.k + 1
-            for x in range(-1, p.k * p.k + 1):
-                assert _eval_exact(r, Fraction(x)) == self._two_step_value(p, m, x)
+            t, k = im_coeffs(p, m), p.k
+            u, v = t[1::k], [-c for c in t[::k]]
+            assert len(u) == len(v) == k + 1 and min(u + v) > 0
+            for x in range(-1, k * k + 1):
+                r = x * _eval_exact(u, Fraction(x)) ** k - _eval_exact(v, Fraction(x)) ** k
+                assert r == two_step_value(p, m, x)
+
+    def test_degree_and_sparsity(self):
+        rng = np.random.default_rng(97)
+        for _ in range(20):
+            p = draw_regime_params(rng)
+            k = p.k
+            t = im_coeffs(p, int(rng.integers(1, p.q)))
+            assert len(t) - 1 == k * k + 1
+            nonzero = [i for i, c in enumerate(t) if c]
+            assert len(nonzero) == 2 * k + 2
+            assert set(nonzero) == {i * k + j for i in range(k + 1) for j in (0, 1)}
+
+    def test_sign_matches_two_step_polynomial(self):
+        # sign T(z) = sign R(z^k) for z > 0, with R from its defining formula,
+        # at seeded rationals and at points just around every root
+        def sign(v):
+            return (v > 0) - (v < 0)
+
+        rng = np.random.default_rng(101)
+        seen = set()
+        for _ in range(12):
+            p = draw_regime_params(rng, k_max=7)
+            m = int(rng.integers(1, p.q))
+            t, k = im_coeffs(p, m), p.k
+            zs = [Fraction(int(rng.integers(1, 2 ** 20)), int(rng.integers(1, 2 ** 20)))
+                  for _ in range(8)]
+            for s in solve_im(p, m):
+                z = Fraction(s.x ** (1.0 / k))
+                zs += [z * (1 - Fraction(1, 10 ** 6)), z * (1 + Fraction(1, 10 ** 6))]
+            for z in zs:
+                want = sign(two_step_value(p, m, z ** k))
+                assert sign(_eval_exact(t, z)) == want, (p, m, z)
+                seen.add(want)
+        assert seen == {-1, 1}
+
+    def test_unit_root_multiplicity(self):
+        # z = 1 is a triple root of T at a dyadic theta_cr, a simple one off it
+        for q, k, m in ((3, 3, 1), (3, 3, 2), (3, 7, 1), (3, 7, 2)):
+            t_cr = theta_critical(q, k)
+            for theta, mult in ((t_cr, 3), (0.5 * t_cr, 1), (0.5 + 0.5 * t_cr, 1)):
+                t = im_coeffs(ModelParams(q=q, k=k, theta=theta), m)
+                assert len(t) - len(_divide_out_unit_root(t)) == mult, (q, k, m, theta)
 
     def test_roots_are_two_step_fixed_points(self):
         p = ModelParams(q=3, k=3, theta=0.1)
         for m, x in ((1, 0.06661568532450396), (2, 15.011479580653045)):
-            r = im_coeffs(p, m)
             assert abs(two_step_map(x, p, m) - x) <= 1e-12 * x
             eps = Fraction(1, 10**9)
             below, above = Fraction(x) * (1 - eps), Fraction(x) * (1 + eps)
-            assert _eval_exact(r, below) * _eval_exact(r, above) < 0
+            assert two_step_value(p, m, below) * two_step_value(p, m, above) < 0
 
 
 class TestPolyPow:

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -27,13 +28,21 @@ from gibbstree.solver import (
     Bracket,
     SolverConfig,
     _divide_out_unit_root,
+    _homogeneous,
+    _nearest_float,
     _positive_roots,
     _require_squarefree,
+    _sign_at,
     refine,
     scan_sign_changes,
 )
 
-from conftest import block_roots_by_scan, mirror_roots_by_scan
+from conftest import (
+    block_roots_by_scan,
+    mirror_roots_by_scan,
+    two_step_coeffs,
+    two_step_value,
+)
 
 
 class TestBracketAndConfig:
@@ -381,15 +390,14 @@ class TestExactRootIsolation:
         # around its partner, and comes out bit for bit as from its
         # isolating interval
         widths = []
-        shrink = solver._shrink_to_float
+        shrink = solver._shrink
 
         def recording(coeffs, lo, hi):
-            root = shrink(coeffs, lo, hi)
-            if root > 1.0:
-                widths.append(float(hi - lo) / root)
-            return root
+            if lo > 1:
+                widths.append(float(hi - lo) / float(lo))
+            return shrink(coeffs, lo, hi)
 
-        monkeypatch.setattr(solver, "_shrink_to_float", recording)
+        monkeypatch.setattr(solver, "_shrink", recording)
         p = ModelParams(q=5, k=6, theta=0.1)
         assert [s.x.hex() for s in solve_im(p, 2)] == [
             "0x1.8d0424ac9d416p-4", "0x1.0000000000000p+0", "0x1.8aec624d97443p+2"]
@@ -398,7 +406,7 @@ class TestExactRootIsolation:
             "0x1.90c00c9b7921dp-1", "0x1.0000000000000p+0", "0x1.23d7a0a60793fp+0"]
         assert rejected == []
         assert len(widths) == 2 and all(w < 2.0 ** -28 for w in widths)
-        assert _positive_roots(im_coeffs(p, 2))[-1].hex() == "0x1.8aec624d97443p+2"
+        assert _positive_roots(im_coeffs(p, 2), k=6)[-1].hex() == "0x1.8aec624d97443p+2"
         assert _positive_roots(im_prime_coeffs(p, 2))[-1].hex() == "0x1.23d7a0a60793fp+0"
 
     def test_unit_root_divided_out_with_multiplicity(self):
@@ -413,13 +421,17 @@ class TestExactRootIsolation:
 
     def test_roots_are_correctly_rounded(self):
         # the root lies between the midpoints to both neighbouring floats,
-        # so no other float is nearer to it: block and mirror polynomials,
-        # k <= 9, near theta_cr and as theta -> 1
-        def sign_at(c, z):
+        # so no other float is nearer to it: every block x against R built
+        # from its defining formula, every mirror root against its
+        # polynomial, k <= 9, near theta_cr and as theta -> 1
+        def sign(v):
+            return (v > 0) - (v < 0)
+
+        def horner(c, z):
             acc = Fraction(0)
             for ci in reversed(c):
                 acc = acc * z + ci
-            return (acc > 0) - (acc < 0)
+            return acc
 
         rng = np.random.default_rng(211)
         checked = 0
@@ -434,14 +446,18 @@ class TestExactRootIsolation:
             ]))
             p = ModelParams(q=q, k=k, theta=theta)
             if rng.random() < 0.5:
-                c = im_coeffs(p, int(rng.integers(1, q)))
+                m = int(rng.integers(1, q))
+                roots = [s.x for s in solve_im(p, m)]
+                value = partial(two_step_value, p, m)
             else:
-                c = im_prime_coeffs(p, int(rng.integers(1, (q - 1) // 2 + 1)))
-            c = _divide_out_unit_root(c)
-            for x in _positive_roots(c):
+                c = _divide_out_unit_root(
+                    im_prime_coeffs(p, int(rng.integers(1, (q - 1) // 2 + 1))))
+                roots = _positive_roots(c)
+                value = partial(horner, c)
+            for x in roots:
                 below = (Fraction(x) + Fraction(math.nextafter(x, 0.0))) / 2
                 above = (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
-                assert sign_at(c, below) * sign_at(c, above) <= 0, (q, k, theta, x)
+                assert sign(value(below)) * sign(value(above)) <= 0, (q, k, theta, x)
                 checked += 1
         assert checked >= 40
 
@@ -449,12 +465,69 @@ class TestExactRootIsolation:
         for q, k, m in ((3, 3, 1), (3, 7, 1)):
             c = im_prime_coeffs(ModelParams(q=q, k=k, theta=theta_critical(q, k)), m)
             assert len(c) - len(_divide_out_unit_root(c)) == 3
-        # the block polynomial: a simple unit root off theta_cr, a triple one on it
+        # the two-step polynomial R, expanded from its defining formula: a
+        # simple unit root off theta_cr, a triple one on it
         for q, k, m in ((3, 3, 1), (3, 3, 2), (3, 7, 1), (3, 7, 2)):
             t_cr = theta_critical(q, k)
             for theta, mult in ((t_cr, 3), (0.5 * t_cr, 1), (0.5 + 0.5 * t_cr, 1)):
-                c = im_coeffs(ModelParams(q=q, k=k, theta=theta), m)
+                c = two_step_coeffs(ModelParams(q=q, k=k, theta=theta), m)
                 assert len(c) - len(_divide_out_unit_root(c)) == mult, (q, k, m, theta)
+
+
+class TestExactSign:
+    @staticmethod
+    def _horner(c, x):
+        acc = Fraction(0)
+        for ci in reversed(c):
+            acc = acc * x + ci
+        return acc
+
+    def test_matches_fraction_horner(self):
+        # at dyadic points and at reciprocals of dyadic points, the shift-only
+        # evaluation is den^n c(x) exactly
+        rng = np.random.default_rng(223)
+        for _ in range(40):
+            n = int(rng.integers(1, 13))
+            c = [int(v) for v in rng.integers(-2 ** 60, 2 ** 60, size=n + 1)]
+            c[-1] = c[-1] or 1
+            for _ in range(6):
+                u = Fraction(int(rng.integers(1, 2 ** 53)), 2 ** int(rng.integers(0, 70)))
+                for x in (u, 1 / u):
+                    want = self._horner(c, x)
+                    assert _homogeneous(c, x) == x.denominator ** n * want
+                    assert _sign_at(c, x) == (want > 0) - (want < 0)
+            assert _sign_at(c, float(u)) == _sign_at(c, u)
+
+    def test_zero_at_exact_roots(self):
+        # a dyadic root 5/2^7 and a reciprocal one 2^9/3, in both orders
+        for c in (_poly([-5, 2 ** 7], [-2 ** 9, 3], [7, -1, 4]),
+                  _poly([-2 ** 9, 3], [-5, 2 ** 7])):
+            assert _sign_at(c, Fraction(5, 2 ** 7)) == 0
+            assert _sign_at(c, Fraction(2 ** 9, 3)) == 0
+            assert _sign_at(c, 1 / (Fraction(3, 2 ** 9) + Fraction(1, 2 ** 50))) != 0
+
+    def test_other_points_refused(self):
+        with pytest.raises(EvaluationError):
+            _sign_at([1, 2, 3], Fraction(3, 5))
+
+
+class TestNearestFloat:
+    def test_root_anywhere_in_a_fine_bracket(self):
+        # a root within a few units in the last place of a float g, in a
+        # bracket whose ends are not floats: the result is the nearest float
+        rng = np.random.default_rng(227)
+        for _ in range(300):
+            g = float(rng.uniform(0.01, 100.0))
+            ulp = Fraction(math.ulp(g))
+            root = Fraction(g) + ulp * Fraction(int(rng.integers(-499, 500)), 1000)
+            lo = root - ulp * Fraction(int(rng.integers(1, 4000)), 1000)
+            hi = root + ulp * Fraction(int(rng.integers(1, 4000)), 1000)
+            s_lo = int(rng.choice([-1, 1]))
+
+            def sign(x):
+                return 0 if x == root else (s_lo if x < root else -s_lo)
+
+            assert _nearest_float(sign, lo, hi, s_lo) == g
 
 
 class TestMirrorNearCritical:
