@@ -119,6 +119,26 @@ class TestCsv:
         back = read_csv(str(path))
         assert back == rows
 
+    def test_written_bytes(self, tmp_path):
+        # the expected text is built here, field by field, so a change of
+        # format in write_csv shows even when read_csv still inverts it
+        rows = run_sweep(3, 3, 0.1, 0.2, 3, parse_set_spec("all", 3))
+        assert {r.set_kind for r in rows} == {"im", "imprime"}
+
+        def cell(v):
+            if v is None:
+                return ""
+            return repr(v) if isinstance(v, float) else str(v)
+
+        expected = "theta,set_kind,m,sol_index,x,y,z,t,classification,residual_full\n"
+        for r in rows:
+            fields = (r.theta, r.set_kind, r.m, r.sol_index, r.x, r.y, r.z, r.t,
+                      r.classification, r.residual_full)
+            expected += ",".join(cell(v) for v in fields) + "\n"
+        path = tmp_path / "rows.csv"
+        write_csv(rows, str(path))
+        assert path.read_bytes() == expected.encode()
+
     def test_mirror_rows_carry_roots(self):
         rows = run_sweep(3, 3, 0.1, 0.1, 1, [InvariantSetId(SetKind.IM_PRIME, 1)])
         assert all(r.z is not None and r.t is not None for r in rows)
