@@ -75,8 +75,7 @@ def _params_from(args, parser: argparse.ArgumentParser) -> ModelParams:
     except OverflowError:
         raise ParameterError(f"theta = exp(coupling/temp) overflows for --coupling "
                              f"{args.coupling!r} --temp {args.temp!r}") from None
-    return ModelParams(q=args.q, k=args.k, theta=theta,
-                       j_coupling=args.coupling, beta=1.0 / args.temp)
+    return ModelParams(q=args.q, k=args.k, theta=theta)
 
 
 def _print_rows(rows) -> None:

@@ -43,4 +43,9 @@ class ResidualError(GibbsTreeError):
 
 
 class EvaluationError(GibbsTreeError):
-    """A scanned function returned a non-finite value at a grid node."""
+    """A function could not be evaluated where the solver asked for it.
+
+    Raised by the grid scan when a scanned function returns a non-finite
+    value at a grid node, and by the exact polynomial evaluation for a point
+    that is neither dyadic nor the reciprocal of a dyadic.
+    """

@@ -85,8 +85,8 @@ class ReducedScalar:
     set_id: InvariantSetId
     z: float | None = None
     t: float | None = None
-    residual_full: float = field(default=math.nan)
-    full_field: PeriodTwoField | None = field(default=None, repr=False)
+    residual_full: float = field(default=math.nan, init=False)
+    full_field: PeriodTwoField | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (self.x > 0.0 and math.isfinite(self.x)):

@@ -20,16 +20,14 @@ from .errors import DomainError, HypothesisError, ParameterError, ShapeError
 class ModelParams:
     """Model constants: q spin states, tree order k, activity theta = exp(J/T).
 
-    theta in (0, 1) is the antiferromagnetic regime (J < 0). j_coupling and
-    beta are optional provenance; when both are present they must reproduce
-    theta to within 1e-12 relative.
+    theta in (0, 1) is the antiferromagnetic regime (J < 0), the one the
+    solvers accept.  theta is the model's only temperature parameter: a
+    coupling J and temperature T enter only through exp(J/T).
     """
 
     q: int
     k: int
     theta: float
-    j_coupling: float | None = None
-    beta: float | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.q, int) or isinstance(self.q, bool) or self.q < 2:
@@ -40,19 +38,6 @@ class ModelParams:
         if not math.isfinite(theta) or theta <= 0.0:
             raise ParameterError(f"theta must be a finite positive real, got {self.theta!r}")
         object.__setattr__(self, "theta", theta)
-        if self.j_coupling is not None and self.beta is not None:
-            if not (self.beta > 0.0 and math.isfinite(self.beta)):
-                raise ParameterError(f"beta must be a positive real, got {self.beta!r}")
-            implied = math.exp(self.j_coupling * self.beta)
-            if abs(theta - implied) > 1e-12 * theta:
-                raise ParameterError(
-                    f"theta={theta} inconsistent with exp(j_coupling*beta)={implied}"
-                )
-
-    @property
-    def n_components(self) -> int:
-        """Length of a field vector: one entry per spin value except the pinned q-th."""
-        return self.q - 1
 
     def require_solver_regime(self) -> None:
         """Entry gate for the solvers: k >= 3, 3 <= q <= k, 0 < theta < 1."""
@@ -153,32 +138,26 @@ def residual_norm(field: PeriodTwoField, params: ModelParams) -> float:
     return max(float(np.abs(r_even).max()), float(np.abs(r_odd).max()))
 
 
-def _check_spin(s, q: int | None):
+def _check_spin(s, q: int) -> int:
     if not isinstance(s, (int, np.integer)) or isinstance(s, bool):
         raise DomainError(f"spin values must be integers, got {s!r}")
-    if s < 1 or (q is not None and s > q):
-        raise DomainError(f"spin {s} outside {{1..{q if q is not None else '?'}}}")
+    if not 1 <= s <= q:
+        raise DomainError(f"spin {s} outside {{1..{q}}}")
     return int(s)
 
 
 def monochromatic_edges(config: Sequence[int] | Mapping[int, int],
-                        edges: Iterable[tuple[int, int]], q: int | None = None) -> int:
+                        edges: Iterable[tuple[int, int]], q: int) -> int:
     """Number of edges whose two endpoints carry the same spin.
 
-    Every endpoint spin must be an integer >= 1 (and <= q when q is given);
-    otherwise DomainError is raised.
+    Every endpoint spin must be an integer in 1..q; otherwise DomainError is
+    raised.
     """
     mono = 0
     for u, v in edges:
         if _check_spin(config[u], q) == _check_spin(config[v], q):
             mono += 1
     return mono
-
-
-def hamiltonian(config: Mapping[int, int], edges: Iterable[tuple[int, int]],
-                j_coupling: float, q: int | None = None) -> float:
-    """Energy -J * (number of monochromatic edges); pass q to range-check spins."""
-    return -j_coupling * monochromatic_edges(config, edges, q)
 
 
 def finite_volume_log_weight(config: Sequence[int] | Mapping[int, int],
@@ -207,11 +186,3 @@ def finite_volume_log_weight(config: Sequence[int] | Mapping[int, int],
             parts.append(float(vec[s - 1]))
     return mono * math.log(params.theta) + math.fsum(parts)
 
-
-def finite_volume_weight(config, edges, boundary, field: PeriodTwoField,
-                         params: ModelParams) -> float:
-    """Unnormalized finite-volume weight; strictly positive and finite."""
-    logw = finite_volume_log_weight(config, edges, boundary, field, params)
-    if logw > 709.0:
-        raise DomainError(f"weight exp({logw:.3g}) overflows; use finite_volume_log_weight")
-    return math.exp(logw)

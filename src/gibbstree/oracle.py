@@ -20,7 +20,6 @@ the solver (no compatibility map, no invariant-set reduction).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +33,7 @@ from .model import (
 )
 
 _MAX_VERTICES = 1_000_000
-_DEFAULT_MAX_ENUM = 10_000_000
-_ENUM_ENV_VAR = "GIBBS_TREE_MAX_ENUM"
+_MAX_ENUM = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -102,16 +100,6 @@ def build_tree(k: int, n: int) -> FiniteTree:
     )
 
 
-def _max_enum() -> int:
-    env = os.environ.get(_ENUM_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ParameterError(f"{_ENUM_ENV_VAR} must be an integer, got {env!r}")
-    return _DEFAULT_MAX_ENUM
-
-
 class _BoundarySum:
     """Configuration-independent pieces of the factorized boundary sum.
 
@@ -169,20 +157,26 @@ def check_consistency(tree: FiniteTree, params: ModelParams, field: PeriodTwoFie
     and the larger error is reported.  At depth 1 the root has k+1 children,
     so the check tests h_even = (k+1) F(h_odd), which no genuinely
     period-two field satisfies in either order; it runs on the field alone.
+
+    tol must be finite and >= 0 and seed a nonnegative integer; otherwise
+    ParameterError is raised.
     """
     if tree.n < 1:
         raise ParameterError("consistency check needs a ball of depth >= 1")
     if field.q != params.q:
         raise ParameterError(f"field has q={field.q}, params q={params.q}")
+    if not math.isfinite(tol) or tol < 0.0:
+        raise ParameterError(f"tol must be a finite nonnegative real, got {tol!r}")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ParameterError(f"seed must be a nonnegative integer, got {seed!r}")
     orders = (field,) if tree.n == 1 else (field, field.swapped())
     b = len(tree.boundary())
     terms = len(orders) * (n_pairs + 1) * b * params.q
-    max_enum = _max_enum()
-    if terms > max_enum:
+    if terms > _MAX_ENUM:
         raise BudgetError(
             f"boundary sum needs {len(orders)} field order(s) x {n_pairs + 1} "
             f"configurations x {b} boundary vertices x {params.q} spins = {terms} "
-            f"terms, budget {max_enum}"
+            f"terms, budget {_MAX_ENUM}"
         )
     rng = np.random.default_rng(seed)
     n_inner = tree.n_vertices - b

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -19,11 +20,15 @@ from .invariants import InvariantSetId, ReducedScalar, SetKind
 from .model import ModelParams
 from .solver import solve_im, solve_im_prime
 
-CSV_HEADER = "theta,set_kind,m,sol_index,x,y,z,t,classification,residual_full"
-
-
 @dataclass(frozen=True)
 class SweepRow:
+    """One solution of one invariant set at one theta, and one line of a sweep CSV.
+
+    The fields, in order, are the CSV columns: the header, the written cells
+    and the parsed values all come from them.  z and t are None on block rows
+    and are written as empty cells.
+    """
+
     theta: float
     set_kind: str
     m: int
@@ -34,6 +39,19 @@ class SweepRow:
     t: float | None
     classification: str
     residual_full: float
+
+
+def _optional_float(cell: str) -> float | None:
+    return float(cell) if cell else None
+
+
+# annotation text -> parser of one CSV cell; a field of any other type fails at import
+_PARSERS = {"float": float, "int": int, "str": str, "float | None": _optional_float}
+_NAMES = [f.name for f in fields(SweepRow)]
+_PARSE = [_PARSERS[f.type] for f in fields(SweepRow)]
+_cells = attrgetter(*_NAMES)
+
+CSV_HEADER = ",".join(_NAMES)
 
 
 def solve_set(params: ModelParams, set_id: InvariantSetId) -> list[ReducedScalar]:
@@ -106,21 +124,16 @@ def run_sweep(q: int, k: int, theta_min: float, theta_max: float, steps: int,
     return rows
 
 
-def _fmt(value: float | None) -> str:
-    return "" if value is None else repr(value)
-
-
 def write_csv(rows: list[SweepRow], path) -> None:
-    """Write rows to a file under the fixed header."""
+    """Write rows to a file under the fixed header.
+
+    csv.writer writes a float as its repr, which round-trips exactly, and
+    None as an empty cell.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER.split(","))
-        for r in rows:
-            writer.writerow([
-                repr(r.theta), r.set_kind, r.m, r.sol_index,
-                repr(r.x), repr(r.y), _fmt(r.z), _fmt(r.t),
-                r.classification, repr(r.residual_full),
-            ])
+        writer.writerow(_NAMES)
+        writer.writerows(map(_cells, rows))
 
 
 def read_csv(path) -> list[SweepRow]:
@@ -134,28 +147,16 @@ def read_csv(path) -> list[SweepRow]:
         rows = []
         try:
             header = next(reader, None)
-            if header != CSV_HEADER.split(","):
+            if header != _NAMES:
                 raise ParameterError(f"unexpected CSV header {header!r}")
             for rec in reader:
-                if len(rec) != 10:
-                    raise ParameterError(f"line {reader.line_num}: expected 10 fields, "
-                                         f"got {len(rec)}")
-                row = SweepRow(
-                    theta=float(rec[0]),
-                    set_kind=rec[1],
-                    m=int(rec[2]),
-                    sol_index=int(rec[3]),
-                    x=float(rec[4]),
-                    y=float(rec[5]),
-                    z=float(rec[6]) if rec[6] else None,
-                    t=float(rec[7]) if rec[7] else None,
-                    classification=rec[8],
-                    residual_full=float(rec[9]),
-                )
-                values = (row.theta, row.x, row.y, row.z, row.t, row.residual_full)
-                if not all(v is None or math.isfinite(v) for v in values):
+                if len(rec) != len(_NAMES):
+                    raise ParameterError(f"line {reader.line_num}: expected {len(_NAMES)} "
+                                         f"fields, got {len(rec)}")
+                values = [parse(cell) for parse, cell in zip(_PARSE, rec)]
+                if not all(math.isfinite(v) for v in values if isinstance(v, float)):
                     raise ParameterError(f"line {reader.line_num}: non-finite number")
-                rows.append(row)
+                rows.append(SweepRow(*values))
         except UnicodeDecodeError as exc:
             raise ParameterError(f"CSV file is not UTF-8 text: {exc.reason}") from None
         except (ValueError, csv.Error) as exc:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import gibbstree
+from gibbstree import oracle
 from gibbstree.sweep import CSV_HEADER, read_csv
 from gibbstree.cli import main
 
@@ -83,6 +84,15 @@ class TestSolve:
                            "--coupling", "1", "--temp", "1e-3")
         assert code == 2
         assert "overflows" in err
+
+    @pytest.mark.parametrize("coupling,temp", [("0", "1e-320"), ("-1", "inf")])
+    def test_coupling_temperature_giving_theta_one(self, capsys, coupling, temp):
+        # exp(J/T) is exactly 1.0 here; the solver regime gate rejects it by theta
+        code, _, err = run(capsys, "solve", "--q", "3", "--k", "3",
+                           "--coupling", coupling, "--temp", temp)
+        assert code == 2
+        assert "theta" in err
+        assert "beta" not in err
 
 
 class TestSweep:
@@ -170,10 +180,20 @@ class TestVerify:
         assert code == 3
 
     def test_env_budget(self, capsys, monkeypatch):
-        monkeypatch.setenv("GIBBS_TREE_MAX_ENUM", "50")
+        monkeypatch.setattr(oracle, "_MAX_ENUM", 50)
         code, _, _ = run(capsys, "verify", "--q", "3", "--k", "3",
                          "--theta", "0.1", "--set", "im:1", "--depth", "2")
         assert code == 3
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--seed", "-1"), ("--tol", "nan"), ("--tol", "-1"),
+    ])
+    def test_invalid_inputs_are_parameter_errors(self, capsys, flag, value):
+        code, out, err = run(capsys, "verify", "--q", "3", "--k", "3",
+                             "--theta", "0.1", "--set", "im:1", flag, value)
+        assert code == 2
+        assert "parameter error" in err
+        assert "PASS" not in out and "FAIL" not in out
 
 
 class TestPlot:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,8 +16,7 @@ from gibbstree import (
 from gibbstree.model import (
     as_field,
     finite_volume_log_weight,
-    finite_volume_weight,
-    hamiltonian,
+    monochromatic_edges,
     period2_residual,
     residual_norm,
 )
@@ -25,7 +25,7 @@ from gibbstree.model import (
 class TestModelParams:
     def test_basic_fields(self):
         p = ModelParams(q=3, k=3, theta=0.1)
-        assert p.n_components == 2
+        assert [f.name for f in dataclasses.fields(p)] == ["q", "k", "theta"]
         assert p.theta == 0.1
 
     @pytest.mark.parametrize("kwargs", [
@@ -40,15 +40,6 @@ class TestModelParams:
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ParameterError):
             ModelParams(**kwargs)
-
-    def test_coupling_provenance_consistent(self):
-        theta = math.exp(-2.0 * 0.5)
-        p = ModelParams(q=3, k=3, theta=theta, j_coupling=-2.0, beta=0.5)
-        assert p.j_coupling == -2.0
-
-    def test_coupling_provenance_inconsistent(self):
-        with pytest.raises(ParameterError):
-            ModelParams(q=3, k=3, theta=0.9, j_coupling=-2.0, beta=0.5)
 
     def test_solver_regime_gate(self):
         ModelParams(q=3, k=3, theta=0.1).require_solver_regime()
@@ -159,24 +150,21 @@ class TestPeriod2Residual:
 
 
 class TestHamiltonian:
+    # the energy is -J times this count; the weights use theta^count
     def test_fully_aligned(self):
         edges = [(0, 1), (1, 2), (2, 3)]
         config = {v: 1 for v in range(4)}
-        assert hamiltonian(config, edges, 1.0) == -3.0
+        assert monochromatic_edges(config, edges, 3) == 3
 
     def test_proper_coloring(self):
         edges = [(0, 1), (1, 2)]
         config = {0: 1, 1: 2, 2: 1}
-        assert hamiltonian(config, edges, 5.0) == 0.0
-
-    def test_single_aligned_edge_negative_coupling(self):
-        assert hamiltonian({0: 1, 1: 1}, [(0, 1)], -2.0) == 2.0
+        assert monochromatic_edges(config, edges, 3) == 0
 
     def test_rejects_bad_spin(self):
-        with pytest.raises(DomainError):
-            hamiltonian({0: 0, 1: 1}, [(0, 1)], 1.0)
-        with pytest.raises(DomainError):
-            hamiltonian({0: 1, 1: 4}, [(0, 1)], 1.0, q=3)
+        for config in ({0: 0, 1: 1}, {0: 1, 1: 4}, {0: 1.0, 1: 1}, {0: True, 1: 1}):
+            with pytest.raises(DomainError):
+                monochromatic_edges(config, [(0, 1)], 3)
 
 
 class TestFiniteVolumeWeight:
@@ -193,8 +181,8 @@ class TestFiniteVolumeWeight:
         edges = [(0, 1), (0, 2), (0, 3), (0, 4)]
         config = {v: 1 for v in range(5)}
         boundary = [(v, 1) for v in range(1, 5)]
-        w = finite_volume_weight(config, edges, boundary, f, p)
-        assert w == pytest.approx(0.5 ** 4, rel=1e-14)
+        w = finite_volume_log_weight(config, edges, boundary, f, p)
+        assert w == pytest.approx(4 * math.log(0.5), rel=1e-14)
 
     def test_spin_relabel_with_field_permutation(self):
         # relabeling spins 1..q-1 and permuting field rows identically is a no-op
@@ -217,6 +205,5 @@ class TestFiniteVolumeWeight:
     def test_overflow_guard(self):
         p = ModelParams(q=3, k=3, theta=0.5)
         f = PeriodTwoField(h_even=np.array([720.0, 0.0]), h_odd=np.zeros(2))
-        assert math.isfinite(finite_volume_log_weight({0: 1}, [], [(0, 0)], f, p))
-        with pytest.raises(DomainError):
-            finite_volume_weight({0: 1}, [], [(0, 0)], f, p)
+        # exp(720) overflows a float; its log does not
+        assert finite_volume_log_weight({0: 1}, [], [(0, 0)], f, p) == 720.0

@@ -17,6 +17,7 @@ from gibbstree import (
     two_step_map,
     two_step_slope_at_one,
 )
+from gibbstree import oracle
 from gibbstree.model import finite_volume_log_weight, residual_norm
 from gibbstree.oracle import _BoundarySum
 
@@ -126,17 +127,11 @@ class TestCheckConsistency:
 
     def test_budget_env_override(self, p33, monkeypatch):
         tree = build_tree(3, 2)
-        monkeypatch.setenv("GIBBS_TREE_MAX_ENUM", "100")
+        monkeypatch.setattr(oracle, "_MAX_ENUM", 100)
         with pytest.raises(BudgetError):
             check_consistency(tree, p33, PeriodTwoField.zero(3))
-        monkeypatch.setenv("GIBBS_TREE_MAX_ENUM", "1000000")
+        monkeypatch.setattr(oracle, "_MAX_ENUM", 1_000_000)
         assert check_consistency(tree, p33, PeriodTwoField.zero(3)).passed
-
-    def test_bad_env_value(self, p33, monkeypatch):
-        tree = build_tree(3, 1)
-        monkeypatch.setenv("GIBBS_TREE_MAX_ENUM", "plenty")
-        with pytest.raises(ParameterError):
-            check_consistency(tree, p33, PeriodTwoField.zero(3))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_half_solution_fails_in_both_orders(self, p33, n):
