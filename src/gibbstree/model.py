@@ -185,4 +185,3 @@ def finite_volume_log_weight(config: Sequence[int] | Mapping[int, int],
             vec = field.h_even if d % 2 == 0 else field.h_odd
             parts.append(float(vec[s - 1]))
     return mono * math.log(params.theta) + math.fsum(parts)
-
