@@ -1,4 +1,5 @@
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +31,13 @@ def draw_regime_params(rng: np.random.Generator, k_max: int = 9) -> ModelParams:
 @pytest.fixture
 def draw_regime():
     return draw_regime_params
+
+
+def ulp_distance(a: float, b: float) -> int:
+    """Number of float64 steps between two finite floats of the same sign."""
+    bits_a, = struct.unpack("<q", struct.pack("<d", a))
+    bits_b, = struct.unpack("<q", struct.pack("<d", b))
+    return abs(bits_a - bits_b)
 
 
 def _block_constants(params: ModelParams, m: int) -> tuple[int, int, int, int]:

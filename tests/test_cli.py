@@ -60,6 +60,12 @@ class TestSolve:
         assert "1 solution(s)" in out
         assert " TI " in out
 
+    def test_three_mirror_solutions_at_large_k(self, capsys):
+        code, out, _ = run(capsys, "solve", "--q", "3", "--k", "11",
+                           "--theta", "0.0075", "--set", "imprime:1")
+        assert code == 0
+        assert "3 solution(s)" in out
+
     def test_coupling_temperature_form(self, capsys):
         # theta = exp(J/T); J = ln(0.1), T = 1 reproduces theta = 0.1
         code, out, _ = run(capsys, "solve", "--q", "3", "--k", "3",
@@ -145,6 +151,13 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--q", "3", "--k", "3",
                            "--theta", "0.1", "--set", "im:1", "--depth", "2",
                            "--tol", "1e-6")
+        assert code == 0
+        assert out.count("PASS") == 3
+        assert "FAIL" not in out
+
+    def test_mirror_solutions_at_large_k_pass(self, capsys):
+        code, out, _ = run(capsys, "verify", "--q", "3", "--k", "11",
+                           "--theta", "0.0075", "--set", "imprime:1")
         assert code == 0
         assert out.count("PASS") == 3
         assert "FAIL" not in out

@@ -42,6 +42,7 @@ from conftest import (
     mirror_roots_by_scan,
     two_step_coeffs,
     two_step_value,
+    ulp_distance,
 )
 
 
@@ -314,6 +315,31 @@ class TestSolveImPrime:
         for r in rejected:
             assert r.reason
             assert all(abs(r.z - s.z) > 1e-8 for s in sols)
+
+    @staticmethod
+    def _large_k_solves():
+        """Every mirror solve at k = 11..16, q = 3, 4, theta = theta_cr * 1e-3, 1e-2."""
+        for k in range(11, 17):
+            for q in (3, 4):
+                for scale in (1e-3, 1e-2):
+                    p = ModelParams(q=q, k=k, theta=theta_critical(q, k) * scale)
+                    for m in range(1, (q - 1) // 2 + 1):
+                        yield p, m, solve_im_prime(p, m)
+
+    def test_three_solutions_at_large_k(self):
+        # recovering t from a k-th root of a ratio that cancels down to t^k
+        # lost the root near zero here to a system residual above 1e-9
+        for p, m, (sols, rejected) in self._large_k_solves():
+            assert (len(sols), rejected) == (3, []), (p, m)
+
+    def test_partner_t_is_the_other_root_at_large_k(self):
+        # (z, t) and (t, z) both solve the system, so the two non-unit
+        # solutions carry each other's root
+        for p, m, (sols, _) in self._large_k_solves():
+            assert len(sols) == 3, (p, m)
+            low, _, high = sols
+            assert ulp_distance(low.t, high.z) <= 64, (p, m)
+            assert ulp_distance(high.t, low.z) <= 64, (p, m)
 
     @pytest.mark.parametrize("q,k", [(3, 3), (3, 4)])
     @pytest.mark.parametrize("theta", [0.9999999467599381, 1.0 - 2.0 ** -40])
