@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import ParameterError, ResidualError
-from .invariants import InvariantSetId, ReducedScalar, SetKind
-from .model import ModelParams, PeriodTwoField, period2_residual
+from .invariants import InvariantSetId, ReducedScalar
+from .model import ModelParams, PeriodTwoField, residual_norm
 
 _CLASSIFY_RESIDUAL_TOL = 1e-9
 _TI_REL_TOL = 1e-10
@@ -88,8 +88,7 @@ def orbit_expand(sol: ReducedScalar, params: ModelParams) -> list[MeasureDescrip
             continue
         seen.add(key)
         fld = PeriodTwoField(h_even=h_even, h_odd=h_odd)
-        r_even, r_odd = period2_residual(fld, params)
-        res = max(np.abs(r_even).max(), np.abs(r_odd).max())
+        res = residual_norm(fld, params)
         if not res <= 10.0 * _CLASSIFY_RESIDUAL_TOL:
             raise ResidualError(
                 f"permuted field residual {res:.3e} too large under permutation {perm}"

@@ -124,12 +124,7 @@ def cmd_sweep(args, parser) -> int:
 def cmd_count(args, parser) -> int:
     report = total_lower_bound(args.q)
     if args.json:
-        print(json.dumps({
-            "q": report.q,
-            "per_im": {str(m): c for m, c in report.per_im.items()},
-            "per_im_prime": {str(m): c for m, c in report.per_im_prime.items()},
-            "total": report.total,
-        }, indent=2))
+        print(json.dumps(asdict(report), indent=2))
         return EXIT_OK
     print(f"q={report.q}")
     for m, c in sorted(report.per_im.items()):

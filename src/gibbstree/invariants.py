@@ -164,22 +164,6 @@ def theta_critical(q: int, k: int) -> float:
     return (k - q + 1) / (k + 1)
 
 
-def _poly_terms(z, params: ModelParams, m: int):
-    """The four mirror-polynomial factors at working precision."""
-    import mpmath as mp
-
-    th = mp.mpf(params.theta)
-    q, k = params.q, params.k
-    zz = mp.mpf(z)
-    zk = zz ** k
-    zk1 = zk * zz
-    b1 = (th + 2 * m - 1) * zk - m * zk1 + m * zz + (q - 2 * m)
-    b2 = m * zk + (th + q - m - 1)
-    qfac = th + m - 1 - m * zz
-    pfac = m * zk1 - m * zk + (th + q - 2 * m - 1) * zz - (q - 2 * m)
-    return b1, b2, qfac, pfac
-
-
 def _to_float(v) -> float:
     try:
         return float(v)
@@ -187,41 +171,45 @@ def _to_float(v) -> float:
         return math.inf if v > 0 else -math.inf
 
 
-def im_prime_poly(z: float, params: ModelParams, m: int) -> float:
-    """Mirror-set root polynomial in z = x^(1/k).
+def im_prime_poly_mp(z, params: ModelParams, m: int, dps: int = _POLY_DPS):
+    """Mirror-set root polynomial in z = x^(1/k), as an mpmath number.
 
-        p(z) = [(theta+2m-1)z^k - m z^(k+1) + m z + q-2m]^k (theta+m-1 - m z)
-             - [m z^k + theta+q-m-1]^k [m z^(k+1) - m z^k + (theta+q-2m-1)z - q+2m]
+        p(z) = b1(z)^k (theta+m-1 - m z)
+             - b2(z)^k [m z^(k+1) - m z^k + (theta+q-2m-1)z - q+2m]
+
+    with the two bases b1(z) = (theta+2m-1)z^k - m z^(k+1) + m z + q-2m and
+    b2(z) = m z^k + theta+q-m-1.
 
     This is the elimination of t from the mirror fixed-point system (see
     im_prime_system_residual and recover_t_from_z), with the common factor
     (theta-1)^k divided out.  p(1) = 0 always, and
-    p(0) = (q-2m)^k (theta+m-1) + (q-2m) (theta+q-m-1)^k.
-    Evaluated at extended precision because the two products
-    agree to leading order near z = 1; values too large for float64 are
-    clamped to +/- inf with the correct sign.
-    """
-    import mpmath as mp
-
-    InvariantSetId(SetKind.IM_PRIME, m).validate_for(params.q)
-    z = _check_x(z)
-    with mp.workdps(_POLY_DPS):
-        b1, b2, qfac, pfac = _poly_terms(z, params, m)
-        return _to_float(b1 ** params.k * qfac - b2 ** params.k * pfac)
-
-
-def im_prime_poly_mp(z, params: ModelParams, m: int, dps: int = _POLY_DPS):
-    """Arbitrary-precision value of the mirror polynomial as an mpmath number.
-
+    p(0) = (q-2m)^k (theta+m-1) + (q-2m) (theta+q-m-1)^k.  Evaluated at dps
+    digits because the two products agree to leading order near z = 1.
     Accepts mpmath arguments for z, so derivative estimates can difference
     the polynomial at step sizes float64 cancellation would destroy.
     """
     import mpmath as mp
 
     InvariantSetId(SetKind.IM_PRIME, m).validate_for(params.q)
+    q, k = params.q, params.k
     with mp.workdps(dps):
-        b1, b2, qfac, pfac = _poly_terms(z, params, m)
-        return b1 ** params.k * qfac - b2 ** params.k * pfac
+        th = mp.mpf(params.theta)
+        zz = mp.mpf(z)
+        zk = zz ** k
+        zk1 = zk * zz
+        b1 = (th + 2 * m - 1) * zk - m * zk1 + m * zz + (q - 2 * m)
+        b2 = m * zk + (th + q - m - 1)
+        qfac = th + m - 1 - m * zz
+        pfac = m * zk1 - m * zk + (th + q - 2 * m - 1) * zz - (q - 2 * m)
+        return b1 ** k * qfac - b2 ** k * pfac
+
+
+def im_prime_poly(z: float, params: ModelParams, m: int) -> float:
+    """im_prime_poly_mp at a float z >= 0, rounded to float64.
+
+    Values too large for float64 are clamped to +/- inf with the correct sign.
+    """
+    return _to_float(im_prime_poly_mp(_check_x(z), params, m))
 
 
 def _poly_mul(a: list[int], b: list[int]) -> list[int]:
@@ -256,21 +244,11 @@ def _poly_pow(p: list[int], k: int) -> list[int]:
     return r
 
 
-def _power_difference(u: list[int], alpha: list[int], v: list[int], beta: list[int],
-                      k: int) -> list[int]:
-    """Coefficients of u^k alpha - v^k beta, lowest degree first, top zeros trimmed."""
-    left, right = _poly_mul(_poly_pow(u, k), alpha), _poly_mul(_poly_pow(v, k), beta)
-    coeffs = [s - t for s, t in zip_longest(left, right, fillvalue=0)]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
 def im_prime_coeffs(params: ModelParams, m: int) -> list[int]:
     """Exact integer coefficients of D^(k+1) p(z), lowest degree first.
 
     theta is a float, hence an exact dyadic rational A/D.  Each of the four
-    factors of im_prime_poly is scaled by D, so their products expand in
+    factors of im_prime_poly_mp is scaled by D, so their products expand in
     integer arithmetic with no rounding.  The degree is k(k+1)+1; for odd k
     the top coefficient cancels and is trimmed, leaving degree k(k+1).
     """
@@ -292,7 +270,11 @@ def im_prime_coeffs(params: ModelParams, m: int) -> list[int]:
     pfac[1] += a + (q - 2 * m - 1) * d
     pfac[k] += -m * d
     pfac[k + 1] += m * d
-    return _power_difference(b1, qfac, b2, pfac, k)
+    left, right = _poly_mul(_poly_pow(b1, k), qfac), _poly_mul(_poly_pow(b2, k), pfac)
+    coeffs = [s - t for s, t in zip_longest(left, right, fillvalue=0)]
+    while not coeffs[-1]:  # p(0) > 0, so this stops
+        coeffs.pop()
+    return coeffs
 
 
 def im_coeffs(params: ModelParams, m: int) -> list[int]:

@@ -34,6 +34,7 @@ from .model import (
 
 _MAX_VERTICES = 1_000_000
 _MAX_ENUM = 10_000_000
+_N_PAIRS = 20   # random interior configurations per check, besides the all-ones one
 
 
 @dataclass(frozen=True)
@@ -142,11 +143,10 @@ class ConsistencyReport:
 
 
 def check_consistency(tree: FiniteTree, params: ModelParams, field: PeriodTwoField,
-                      tol: float = 1e-8, n_pairs: int = 20,
-                      seed: int = 0) -> ConsistencyReport:
+                      tol: float = 1e-8, seed: int = 0) -> ConsistencyReport:
     """Test that summed depth-n weights track depth-(n-1) weights by one constant.
 
-    Draws n_pairs random interior configurations (plus the all-ones one),
+    Draws _N_PAIRS random interior configurations (plus the all-ones one),
     computes log(sum over boundary) - log(inner weight) for each, and passes
     when the spread of that difference stays within tol.  Works for n >= 1.
 
@@ -171,10 +171,10 @@ def check_consistency(tree: FiniteTree, params: ModelParams, field: PeriodTwoFie
         raise ParameterError(f"seed must be a nonnegative integer, got {seed!r}")
     orders = (field,) if tree.n == 1 else (field, field.swapped())
     b = len(tree.boundary())
-    terms = len(orders) * (n_pairs + 1) * b * params.q
+    terms = len(orders) * (_N_PAIRS + 1) * b * params.q
     if terms > _MAX_ENUM:
         raise BudgetError(
-            f"boundary sum needs {len(orders)} field order(s) x {n_pairs + 1} "
+            f"boundary sum needs {len(orders)} field order(s) x {_N_PAIRS + 1} "
             f"configurations x {b} boundary vertices x {params.q} spins = {terms} "
             f"terms, budget {_MAX_ENUM}"
         )
@@ -182,7 +182,7 @@ def check_consistency(tree: FiniteTree, params: ModelParams, field: PeriodTwoFie
     n_inner = tree.n_vertices - b
 
     configs = [np.ones(n_inner, dtype=np.int64)]
-    for _ in range(n_pairs):
+    for _ in range(_N_PAIRS):
         configs.append(rng.integers(1, params.q + 1, size=n_inner))
 
     err = max(_relative_spread(tree, params, f, configs) for f in orders)

@@ -212,15 +212,16 @@ class TestFactorizedBoundarySum:
         assert worst <= 1e-13
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_verdicts_match_enumeration(self, p33, n):
+    def test_verdicts_match_enumeration(self, p33, n, monkeypatch):
         tree = build_tree(3, n)
         sol = solve_im(p33, 1)
         fields = [sol[1].full_field, sol[0].full_field,
                   PeriodTwoField(sol[0].full_field.h_even + 1e-3, sol[0].full_field.h_odd)]
         n_pairs = 5 if n == 1 else 1
+        monkeypatch.setattr(oracle, "_N_PAIRS", n_pairs)
         verdicts = set()
         for field in fields:
-            report = check_consistency(tree, p33, field, tol=1e-6, n_pairs=n_pairs, seed=0)
+            report = check_consistency(tree, p33, field, tol=1e-6, seed=0)
             expected = _brute_force_error(tree, p33, field, n_pairs, seed=0)
             assert report.max_relative_error == pytest.approx(expected, abs=1e-13)
             assert report.passed == (expected <= 1e-6)

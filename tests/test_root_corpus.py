@@ -9,12 +9,18 @@ The test re-solves each point and compares exactly.
 Regenerate the file (only when a change is meant to move a root) with
 
     PYTHONPATH=src python tests/test_root_corpus.py
+
+and add --diff to write nothing and print, for each of x, y, z, t, the
+solution count and the rejected list, how many records would change and
+the largest ulp distance.
 """
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 
+from conftest import ulp_distance
 from gibbstree import ModelParams, solve_im, solve_im_prime, theta_critical
 
 CORPUS = Path(__file__).with_name("root_corpus.json")
@@ -62,7 +68,28 @@ def test_roots_match_corpus():
         assert solve_case(*case) == record
 
 
+def print_diff(old: list[dict], new: list[dict]) -> None:
+    """Per field, the records of new that differ from old and the largest ulp distance."""
+    for i, name in enumerate("xyzt"):
+        changed, worst = 0, 0
+        for a, b in zip(old, new):
+            pairs = [(u[i], v[i]) for u, v in zip(a["solutions"], b["solutions"])
+                     if u[i] != v[i]]
+            changed += bool(pairs)
+            for u, v in pairs:
+                worst = max(worst, ulp_distance(float.fromhex(u), float.fromhex(v)))
+        print(f"{name}: {changed} of {len(new)} records differ, largest {worst} ulps")
+    counts = sum(len(a["solutions"]) != len(b["solutions"]) for a, b in zip(old, new))
+    print(f"count: {counts} of {len(new)} records differ")
+    rejected = sum(a["rejected"] != b["rejected"] for a, b in zip(old, new))
+    print(f"rejected: {rejected} of {len(new)} records differ")
+
+
 if __name__ == "__main__":
-    lines = [json.dumps(solve_case(*case)) for case in corpus_cases()]
-    CORPUS.write_text("[\n" + ",\n".join(lines) + "\n]\n")
-    print(f"wrote {len(lines)} records to {CORPUS}")
+    records = [solve_case(*case) for case in corpus_cases()]
+    if "--diff" in sys.argv[1:]:
+        print_diff(json.loads(CORPUS.read_text()), records)
+    else:
+        lines = [json.dumps(r) for r in records]
+        CORPUS.write_text("[\n" + ",\n".join(lines) + "\n]\n")
+        print(f"wrote {len(lines)} records to {CORPUS}")
