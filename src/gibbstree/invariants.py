@@ -331,22 +331,24 @@ def im_prime_poly_slope_at_one(params: ModelParams) -> float:
 def recover_t_from_z(z: float, params: ModelParams, m: int) -> float | None:
     """Partner coordinate t for a candidate mirror root z, or None if invalid.
 
-        t^k = (m z^(k+1) - m z^k + (theta+q-2m-1)z - q+2m) / (theta+m-1 - m z)
+        t = b1(z) / b2(z)
+          = ((theta+2m-1)z^k - m z^(k+1) + m z + q-2m) / (m z^k + theta+q-m-1)
 
-    Returns None when the denominator vanishes or the ratio is not strictly
-    positive, in which case z does not yield a real positive solution.
+    with b1 and b2 the two bases of the mirror polynomial.  The first
+    equation of im_prime_system_residual gives t^k as a ratio; put into the
+    second equation, it turns the numerator into (theta-1) b1(z) and the
+    denominator into (theta-1) b2(z).  So no k-th root is taken, and the
+    ratio cancels only down to t, not t^k.  b2 > 0 for z >= 0.  Returns None
+    when t is not a finite positive float, in which case z does not yield a
+    real positive solution.
     """
     InvariantSetId(SetKind.IM_PRIME, m).validate_for(params.q)
     z = _check_x(z)
     th, q, k = params.theta, params.q, params.k
-    den = th + m - 1.0 - m * z
-    if den == 0.0:
-        return None
-    num = m * z ** (k + 1) - m * z ** k + (th + q - 2.0 * m - 1.0) * z - (q - 2.0 * m)
-    tk = num / den
-    if not (tk > 0.0 and math.isfinite(tk)):
-        return None
-    return tk ** (1.0 / k)
+    zk = z ** k
+    b1 = (th + 2.0 * m - 1.0) * zk - m * zk * z + m * z + (q - 2.0 * m)
+    t = b1 / (m * zk + th + q - m - 1.0)
+    return t if t > 0.0 and math.isfinite(t) else None
 
 
 def im_prime_system_residual(z: float, t: float, params: ModelParams, m: int) -> float:

@@ -568,8 +568,8 @@ def solve_im_prime(params: ModelParams, m: int,
     exactly from its integer coefficients (see the module docstring), so the
     count does not depend on any grid.  Every accepted root z recovers a
     positive partner t and satisfies the coupled fixed-point system to 1e-9;
-    roots whose partner is complex or nonpositive are reported in the second
-    list with a reason.
+    roots whose partner is nonpositive or that miss the system are reported
+    in the second list with a reason.
     """
     params.require_solver_regime()
     set_id = InvariantSetId(SetKind.IM_PRIME, m)
@@ -582,11 +582,11 @@ def solve_im_prime(params: ModelParams, m: int,
     solutions = []
     rejected = []
     for z in sorted(roots):
-        # z = t = 1 solves the system; recover_t_from_z would compute t^k
-        # there as a ratio of two values that both vanish as theta -> 1
+        # z = t = 1 solves the system exactly; recover_t_from_z's b1(1)/b2(1)
+        # can round to 1 +- 1 ulp
         t = 1.0 if z == 1.0 else recover_t_from_z(z, params, m)
         if t is None:
-            rejected.append(RejectedRoot(z=z, reason="partner value t^k not positive"))
+            rejected.append(RejectedRoot(z=z, reason="partner value t not positive"))
             continue
         res = im_prime_system_residual(z, t, params, m)
         if not res <= 1e-9:
