@@ -344,8 +344,8 @@ class TestSolveImPrime:
     @pytest.mark.parametrize("q,k", [(3, 3), (3, 4)])
     @pytest.mark.parametrize("theta", [0.9999999467599381, 1.0 - 2.0 ** -40])
     def test_unit_solution_kept_as_theta_nears_one(self, q, k, theta):
-        # both sides of the ratio for t^k vanish at z = 1 as theta -> 1; the
-        # unit root is lifted to t = 1 exactly instead
+        # b1(1)/b2(1) can round to 1 +- 1 ulp; the unit root is lifted to
+        # t = 1 exactly, so its row is exact
         sols, rejected = solve_im_prime(ModelParams(q=q, k=k, theta=theta), 1)
         assert [(s.z, s.t, s.x, s.y, s.residual_full) for s in sols] == [(1.0,) * 4 + (0.0,)]
         assert rejected == []
