@@ -391,7 +391,7 @@ class TestRecoverT:
             assert t is not None
             assert t == pytest.approx(1.0, rel=1e-12)
 
-    def test_negative_partner_rejected(self):
+    def test_negative_ratio_rejected(self):
         # b1(3) = 1.1 * 27 - 81 + 3 + 1 = -47.3, b2(3) = 29.1
         p = ModelParams(q=3, k=3, theta=0.1)
         assert recover_t_from_z(3.0, p, 1) is None
