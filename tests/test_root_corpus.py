@@ -2,9 +2,10 @@
 
 root_corpus.json holds float.hex of x, y, z and t of every solution, and
 every rejected mirror root with its reason, for a seeded set of parameter
-points with k <= 7: one uniform theta on each side of theta_cr, theta_cr
-itself and theta_cr (1 +- 1e-9), at every q and every block and mirror index.
-The test re-solves each point and compares exactly.
+points: one uniform theta on each side of theta_cr, theta_cr itself and
+theta_cr (1 +- 1e-9), at every block and mirror index, for every q at
+k <= 7 and for q = 3, 4 at k = 11, 16.  The test re-solves each point and
+compares exactly.
 
 Regenerate the file (only when a change is meant to move a root) with
 
@@ -12,7 +13,7 @@ Regenerate the file (only when a change is meant to move a root) with
 
 and add --diff to write nothing and print, for each of x, y, z, t, the
 solution count and the rejected list, how many records would change and
-the largest ulp distance.
+the largest ulp distance; it exits 1 if any record would change, else 0.
 """
 import json
 import sys
@@ -35,14 +36,16 @@ def corpus_cases():
     """(q, k, theta, kind, m) for every case of the corpus, in a fixed order."""
     rng = np.random.default_rng(SEED)
     cases = []
-    for k in range(3, 8):
-        for q in range(3, k + 1):
-            t_cr = theta_critical(q, k)
-            thetas = (float(rng.uniform(0.02, t_cr)), float(rng.uniform(t_cr, 0.98)),
-                      t_cr, t_cr * (1.0 - 1e-9), t_cr * (1.0 + 1e-9))
-            for theta in thetas:
-                cases += [(q, k, theta, "im", m) for m in range(1, q)]
-                cases += [(q, k, theta, "im'", m) for m in range(1, (q - 1) // 2 + 1)]
+    # the large-k points come last, so the draws of the small-k ones stay put
+    qk = [(q, k) for k in range(3, 8) for q in range(3, k + 1)]
+    qk += [(q, k) for k in (11, 16) for q in (3, 4)]
+    for q, k in qk:
+        t_cr = theta_critical(q, k)
+        thetas = (float(rng.uniform(0.02, t_cr)), float(rng.uniform(t_cr, 0.98)),
+                  t_cr, t_cr * (1.0 - 1e-9), t_cr * (1.0 + 1e-9))
+        for theta in thetas:
+            cases += [(q, k, theta, "im", m) for m in range(1, q)]
+            cases += [(q, k, theta, "im'", m) for m in range(1, (q - 1) // 2 + 1)]
     return cases
 
 
@@ -68,8 +71,11 @@ def test_roots_match_corpus():
         assert solve_case(*case) == record
 
 
-def print_diff(old: list[dict], new: list[dict]) -> None:
-    """Per field, the records of new that differ from old and the largest ulp distance."""
+def print_diff(old: list[dict], new: list[dict]) -> bool:
+    """Per field, the records of new that differ from old and the largest ulp distance.
+
+    Returns whether any record differs.
+    """
     for i, name in enumerate("xyzt"):
         changed, worst = 0, 0
         for a, b in zip(old, new):
@@ -83,12 +89,15 @@ def print_diff(old: list[dict], new: list[dict]) -> None:
     print(f"count: {counts} of {len(new)} records differ")
     rejected = sum(a["rejected"] != b["rejected"] for a, b in zip(old, new))
     print(f"rejected: {rejected} of {len(new)} records differ")
+    if len(old) != len(new):
+        print(f"records: {len(old)} in the corpus, {len(new)} cases")
+    return old != new
 
 
 if __name__ == "__main__":
     records = [solve_case(*case) for case in corpus_cases()]
     if "--diff" in sys.argv[1:]:
-        print_diff(json.loads(CORPUS.read_text()), records)
+        sys.exit(1 if print_diff(json.loads(CORPUS.read_text()), records) else 0)
     else:
         lines = [json.dumps(r) for r in records]
         CORPUS.write_text("[\n" + ",\n".join(lines) + "\n]\n")
