@@ -345,7 +345,10 @@ def recover_t_from_z(z: float, params: ModelParams, m: int) -> float | None:
     InvariantSetId(SetKind.IM_PRIME, m).validate_for(params.q)
     z = _check_x(z)
     th, q, k = params.theta, params.q, params.k
-    zk = z ** k
+    try:
+        zk = z ** k
+    except OverflowError:  # far above every root, where t is about -z
+        return None
     b1 = (th + 2.0 * m - 1.0) * zk - m * zk * z + m * z + (q - 2.0 * m)
     t = b1 / (m * zk + th + q - m - 1.0)
     return t if t > 0.0 and math.isfinite(t) else None

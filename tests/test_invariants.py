@@ -396,6 +396,12 @@ class TestRecoverT:
         p = ModelParams(q=3, k=3, theta=0.1)
         assert recover_t_from_z(3.0, p, 1) is None
 
+    def test_overflowing_power_rejected(self):
+        # z^3 is finite at 1e100 and overflows at 1e103; t is negative either way
+        p = ModelParams(q=3, k=3, theta=0.1)
+        assert recover_t_from_z(1e100, p, 1) is None
+        assert recover_t_from_z(1e103, p, 1) is None
+
     def test_frozen_pair(self):
         p = ModelParams(q=3, k=3, theta=0.1)
         z = 0.5676438688
