@@ -246,7 +246,13 @@ def _sign_variations(coeffs: list[int]) -> int:
     return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
 
 
-def _isolate_unit_interval(coeffs: list[int]) -> list[tuple[Fraction, Fraction]]:
+def _dyadic(num: int, j: int) -> float | Fraction:
+    """num / 2^j, as a float where that is exact, else as a Fraction."""
+    # num < 2^53 and j <= 1022 make the quotient a normal float or 0
+    return num / (1 << j) if num < 1 << 53 and j <= 1022 else Fraction(num, 1 << j)
+
+
+def _isolate_unit_interval(coeffs: list[int]) -> list[tuple[float | Fraction, float | Fraction]]:
     """Disjoint brackets, each holding exactly one root in (0, 1), ascending.
 
     Vincent-Collins-Akritas bisection (Collins and Akritas, SYMSAC 1976).
@@ -254,7 +260,8 @@ def _isolate_unit_interval(coeffs: list[int]) -> list[tuple[Fraction, Fraction]]
     (a, b) at x in (0, 1); by Descartes' rule the sign variations of
     (1+x)^n c_I(1/(1+x)) bound their number and have its parity, so 0 and 1
     settle an interval and anything else is halved.  A root landing exactly
-    on a midpoint is returned as a bracket with lo == hi.  A count of 0 or 1
+    on a midpoint is returned as a bracket with lo == hi.  Each end is a
+    float where that is exact (see _dyadic).  A count of 0 or 1
     is exact for any input, but only squarefree input lets the halving end,
     so the input is certified squarefree (ConvergenceError otherwise) once
     an interval is pushed past _CERT_DEPTH or a midpoint is a repeated root.
@@ -268,7 +275,7 @@ def _isolate_unit_interval(coeffs: list[int]) -> list[tuple[Fraction, Fraction]]
         if v == 0:
             continue
         if v == 1:
-            found.append((Fraction(num, 2 ** j), Fraction(num + 1, 2 ** j)))
+            found.append((_dyadic(num, j), _dyadic(num + 1, j)))
             continue
         n = len(c) - 1
         left = [ci << (n - i) for i, ci in enumerate(c)]   # 2^n c(x/2)
@@ -277,7 +284,7 @@ def _isolate_unit_interval(coeffs: list[int]) -> list[tuple[Fraction, Fraction]]
             _require_squarefree(coeffs)
             certified = True
         if right[0] == 0:
-            mid = Fraction(2 * num + 1, 2 ** (j + 1))
+            mid = _dyadic(2 * num + 1, j + 1)
             found.append((mid, mid))
             right = right[1:]
         stack.append((left, 2 * num, j + 1))
@@ -343,7 +350,7 @@ def _split(lo, hi) -> float | None:
     return mid if lo < mid < hi else None
 
 
-def _shrink(coeffs: list[int], lo: Fraction, hi: Fraction,
+def _shrink(coeffs: list[int], lo: Fraction | float, hi: Fraction | float,
             ) -> tuple[Fraction | float, Fraction | float, int]:
     """Narrow the bracket (lo, hi) of one root of the polynomial to about one float spacing.
 
@@ -462,20 +469,20 @@ def _two_step_sign(coeffs: list[int], k: int):
     return sign
 
 
-def _root_bound(coeffs: list[int]) -> Fraction:
+def _root_bound(coeffs: list[int]) -> float | Fraction:
     """A power of two above the modulus of every root (Fujiwara's bound).
 
     |z| <= 2 max_i |c_(n-i) / c_n|^(1/i), with each ratio bounded through
-    the bit lengths of the coefficients.
+    the bit lengths of the coefficients.  A float where it and its
+    reciprocal are exact floats, else a Fraction.
     """
     top = abs(coeffs[-1]).bit_length() - 1
-    exp = max(-((top - abs(c).bit_length()) // i)
-              for i, c in enumerate(reversed(coeffs[:-1]), 1) if c)
-    return Fraction(2) ** (exp + 1)
+    exp = 1 + max(-((top - abs(c).bit_length()) // i)
+                  for i, c in enumerate(reversed(coeffs[:-1]), 1) if c)
+    return math.ldexp(1.0, exp) if abs(exp) <= 1021 else Fraction(2) ** exp
 
 
-def _partner_bracket(coeffs: list[int], lo: Fraction, hi: Fraction,
-                     partners: list[float]) -> tuple[Fraction, Fraction]:
+def _partner_bracket(coeffs: list[int], lo, hi, partners: list[float | None]) -> tuple:
     """A narrow bracket of the one root in (lo, hi) around a partner float, else (lo, hi).
 
     The bracket y (1 +- _PARTNER_WIDTH), clipped to (lo, hi), is taken for
@@ -483,12 +490,37 @@ def _partner_bracket(coeffs: list[int], lo: Fraction, hi: Fraction,
     nonzero opposite signs: it then holds the interval's one root.
     """
     for y in partners:
-        if lo < y < hi:
-            b_lo = max(lo, Fraction(y * (1.0 - _PARTNER_WIDTH)))
-            b_hi = min(hi, Fraction(y * (1.0 + _PARTNER_WIDTH)))
+        if y is not None and lo < y < hi:
+            b_lo = max(lo, y * (1.0 - _PARTNER_WIDTH))
+            b_hi = min(hi, y * (1.0 + _PARTNER_WIDTH))
             if _sign_at(coeffs, b_lo) * _sign_at(coeffs, b_hi) < 0:
                 return b_lo, b_hi
     return lo, hi
+
+
+def _paired_brackets(coeffs: list[int], partners: list[float | None],
+                     ) -> list[tuple[float, float]] | None:
+    """Isolating intervals of every root above 1 from the partners of the roots below 1, or None.
+
+    partners are the floats near the partner roots of the roots below 1,
+    in ascending order of those roots, for a polynomial whose roots above 1
+    are exactly those partners (see _positive_roots).  Returns the brackets
+    y (1 +- _PARTNER_WIDTH), ascending, if they all lie above 1, are
+    disjoint and each shows exact nonzero opposite signs at its ends: each
+    then holds at least one root, and as many brackets as roots leave
+    exactly one for each.  Otherwise None.
+    """
+    brackets = []
+    prev = 1.0
+    for y in reversed(partners):
+        if y is None:
+            return None
+        lo, hi = y * (1.0 - _PARTNER_WIDTH), y * (1.0 + _PARTNER_WIDTH)
+        if not (prev < lo and _sign_at(coeffs, lo) * _sign_at(coeffs, hi) < 0):
+            return None
+        brackets.append((lo, hi))
+        prev = hi
+    return brackets
 
 
 def _positive_roots(coeffs: list[int], partner=None, k: int = 1) -> list[float]:
@@ -511,6 +543,15 @@ def _positive_roots(coeffs: list[int], partner=None, k: int = 1) -> list[float]:
     another root of the polynomial, or None; the roots in (1, inf) are then
     shrunk from narrow brackets around those floats where possible (see
     _partner_bracket).
+
+    With k > 1, partner must be the block map f, so that z = f(x) for each
+    root x = z^k below 1.  Then the roots above 1 need no isolation when the
+    partner brackets pair up (see _paired_brackets): F = f^k is decreasing
+    with F(1) = 1 and maps fixed points of F o F to fixed points, so it
+    takes the roots of R below 1 one-to-one onto those above 1, and T has
+    exactly as many roots above 1 as below.  If any partner bracket fails,
+    the reversed polynomial is isolated as for k = 1.  The pairing does not
+    hold for the mirror polynomial, whose rejected roots have no partner.
     """
     sign_x = _two_step_sign(coeffs, k) if k > 1 else None
     deflated = _divide_out_unit_root(coeffs)
@@ -528,12 +569,15 @@ def _positive_roots(coeffs: list[int], partner=None, k: int = 1) -> list[float]:
 
     low = 1 / _root_bound(coeffs[::-1])
     roots = [nearest(lo or low, hi) for lo, hi in _isolate_unit_interval(coeffs)]
-    partners = [y for y in map(partner, roots) if y is not None] if partner else []
-    high = _root_bound(coeffs)
-    for lo, hi in reversed(_isolate_unit_interval(coeffs[::-1])):
-        roots.append(nearest(*_partner_bracket(coeffs, 1 / hi, 1 / lo if lo else high,
-                                               partners)))
-    return roots
+    partners = [partner(x) for x in roots] if partner else []
+    above = _paired_brackets(coeffs, partners) if k > 1 and partner else None
+    if above is None:
+        high = _root_bound(coeffs)
+        # exact reciprocals: 1 / Fraction, never a rounded float quotient
+        above = [_partner_bracket(coeffs, 1 / Fraction(hi), 1 / Fraction(lo) if lo else high,
+                                  partners)
+                 for lo, hi in reversed(_isolate_unit_interval(coeffs[::-1]))]
+    return roots + [nearest(lo, hi) for lo, hi in above]
 
 
 def solve_im(params: ModelParams, m: int) -> list[ReducedScalar]:

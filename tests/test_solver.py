@@ -435,6 +435,43 @@ class TestExactRootIsolation:
         assert _positive_roots(im_coeffs(p, 2), k=6)[-1].hex() == "0x1.8aec624d97443p+2"
         assert _positive_roots(im_prime_coeffs(p, 2))[-1].hex() == "0x1.23d7a0a60793fp+0"
 
+    @pytest.mark.parametrize("theta, xs", [
+        (0.1, ["0x1.8d0424ac9d416p-4", "0x1.0000000000000p+0", "0x1.8aec624d97443p+2"]),
+        (0.5, ["0x1.0000000000000p+0"]),   # above theta_cr = 2/7: no root below 1
+    ])
+    def test_block_roots_above_one_are_paired(self, monkeypatch, theta, xs):
+        # the partner brackets of the roots below 1 replace the second isolation
+        calls = []
+        isolate = solver._isolate_unit_interval
+
+        def counting(coeffs):
+            calls.append(len(coeffs))
+            return isolate(coeffs)
+
+        monkeypatch.setattr(solver, "_isolate_unit_interval", counting)
+        assert [s.x.hex() for s in solve_im(ModelParams(q=5, k=6, theta=theta), 2)] == xs
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("fake", [
+        lambda y: 1.1,          # no root of T in its bracket: no sign change
+        lambda y: 1.0 / y,      # below 1
+    ], ids=["no_sign_change", "below_one"])
+    def test_block_pairing_falls_back(self, monkeypatch, fake):
+        p = ModelParams(q=5, k=6, theta=0.1)
+        want = [(s.x.hex(), s.y.hex()) for s in solve_im(p, 2)]
+        calls = []
+        isolate = solver._isolate_unit_interval
+        mobius_map = solver.mobius_map
+
+        def counting(coeffs):
+            calls.append(len(coeffs))
+            return isolate(coeffs)
+
+        monkeypatch.setattr(solver, "_isolate_unit_interval", counting)
+        monkeypatch.setattr(solver, "mobius_map", lambda x, params, m: fake(mobius_map(x, params, m)))
+        assert [(s.x.hex(), s.y.hex()) for s in solve_im(p, 2)] == want
+        assert len(calls) == 2
+
     def test_unit_root_divided_out_with_multiplicity(self):
         assert _divide_out_unit_root(_poly([-1, 1], [-1, 1], [-1, 1], [2, 1])) == [2, 1]
 
