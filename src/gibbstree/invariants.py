@@ -29,8 +29,6 @@ from enum import Enum
 from fractions import Fraction
 from itertools import zip_longest
 
-import numpy as np
-
 from .errors import DomainError, HypothesisError, ParameterError
 from .model import ModelParams, PeriodTwoField, residual_norm
 
@@ -382,16 +380,13 @@ def embed_full(sol: ReducedScalar, params: ModelParams) -> PeriodTwoField:
     n = params.q - 1
     m = sol.set_id.m
     lx, ly = math.log(sol.x), math.log(sol.y)
-    h_even = np.zeros(n)
-    h_odd = np.zeros(n)
     if sol.set_id.kind is SetKind.IM:
-        h_even[:m] = lx
-        h_odd[:m] = ly
+        h_even = [lx] * m + [0.0] * (n - m)
+        h_odd = [ly] * m + [0.0] * (n - m)
     else:
-        h_even[:m] = lx
-        h_even[n - m:] = ly
-        h_odd[:m] = ly
-        h_odd[n - m:] = lx
+        band = [0.0] * (n - 2 * m)
+        h_even = [lx] * m + band + [ly] * m
+        h_odd = [ly] * m + band + [lx] * m
     fld = PeriodTwoField(h_even, h_odd)
     sol.residual_full = residual_norm(fld, params)
     sol.full_field = fld

@@ -95,8 +95,18 @@ class PeriodTwoField:
         return PeriodTwoField(self.h_odd, self.h_even)
 
 
+def _compat_floats(h: list[float], theta: float) -> list[float]:
+    """compat_map of a finite field vector given as a list, on plain floats."""
+    shift = max(max(h), 0.0)
+    ex = [math.exp(v - shift) for v in h]
+    e0 = math.exp(-shift)  # the pinned component exp(0), shifted
+    s = sum(ex)
+    log_den = math.log(theta * e0 + s)
+    return [math.log(theta * e + (s - e) + e0) - log_den for e in ex]
+
+
 def compat_map(h, params: ModelParams) -> np.ndarray:
-    """One-generation image of a boundary-field vector.
+    """One-generation image of a boundary-field vector, as an ndarray.
 
     With x_j = exp(h_j) for the q-1 free components and the q-th pinned to 1:
 
@@ -104,17 +114,12 @@ def compat_map(h, params: ModelParams) -> np.ndarray:
 
     Every term in this arrangement is positive, so there is no cancellation,
     and all exponentials are shifted by the max entry so large fields cannot
-    overflow.  theta = 1 maps every vector to zero.
+    overflow.  theta = 1 maps every vector to zero.  The vector is checked
+    with as_field; the arithmetic runs on plain floats with math.exp and
+    math.log (a vector of length q-1 is too short for numpy to pay), and
+    only the result is an ndarray.
     """
-    h = as_field(h, params.q)
-    theta = params.theta
-    shift = max(float(h.max()), 0.0)
-    ex = np.exp(h - shift)
-    e0 = math.exp(-shift)  # the pinned component exp(0), shifted
-    s = float(ex.sum())
-    num = theta * ex + (s - ex) + e0
-    den = theta * e0 + s
-    return np.log(num) - math.log(den)
+    return np.array(_compat_floats(as_field(h, params.q).tolist(), params.theta))
 
 
 def period2_residual(field: PeriodTwoField, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -133,9 +138,16 @@ def period2_residual(field: PeriodTwoField, params: ModelParams) -> tuple[np.nda
 
 
 def residual_norm(field: PeriodTwoField, params: ModelParams) -> float:
-    """Max-norm of the period-two residual pair."""
-    r_even, r_odd = period2_residual(field, params)
-    return max(float(np.abs(r_even).max()), float(np.abs(r_odd).max()))
+    """Max-norm of the period-two residual pair, on plain floats.
+
+    The same arithmetic as period2_residual, without building arrays.
+    """
+    if field.q != params.q:
+        raise ShapeError(f"field has q={field.q}, params have q={params.q}")
+    k, theta = params.k, params.theta
+    h_even, h_odd = field.h_even.tolist(), field.h_odd.tolist()
+    return max(max(abs(h - k * f) for h, f in zip(h_even, _compat_floats(h_odd, theta))),
+               max(abs(h - k * f) for h, f in zip(h_odd, _compat_floats(h_even, theta))))
 
 
 def _check_spin(s, q: int) -> int:

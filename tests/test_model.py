@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -131,6 +132,57 @@ class TestCompatMap:
             compat_map(np.zeros(3), p)
         with pytest.raises(DomainError):
             compat_map(np.array([0.0, np.inf]), p)
+
+
+def _compat_mp(h, theta):
+    """compat_map's shifted formula at 50 digits, and the scale of its rounding error.
+
+    The scale of component i is max(1, |ln num_i|, |ln den|) over the shifted
+    logs that the float code subtracts, divided by theta: num_i holds
+    s - x_i, which cancels down to a theta-th of num_i when x_i dominates.
+    """
+    with mp.workdps(50):
+        shift = max(max(h), 0.0)
+        x = [mp.exp(mp.mpf(v) - shift) for v in h]
+        x0 = mp.exp(-mp.mpf(shift))
+        s = mp.fsum(x)
+        log_den = mp.log(theta * x0 + s)
+        log_num = [mp.log(theta * xi + (s - xi) + x0) for xi in x]
+        return ([ln - log_den for ln in log_num],
+                [float(max(1, abs(ln), abs(log_den))) / theta for ln in log_num])
+
+
+class TestFloatKernel:
+    def test_matches_fifty_digits(self):
+        # within 4 ulps of each component's error scale (see _compat_mp)
+        rng = np.random.default_rng(59)
+        for trial in range(300):
+            q, k = int(rng.integers(3, 9)), int(rng.integers(3, 9))
+            p = ModelParams(q=q, k=k, theta=float(rng.uniform(0.01, 0.99)))
+            scale = (1.0, 10.0, 100.0)[trial % 3]
+            h_even = rng.normal(scale=scale, size=q - 1)
+            h_odd = rng.normal(scale=scale, size=q - 1)
+            if trial % 4 == 0:   # next to the overflow guard
+                h_even[int(rng.integers(q - 1))] = float(rng.choice([-1, 1]) * rng.uniform(699, 700))
+            f_even, tol_even = _compat_mp(h_even.tolist(), p.theta)
+            f_odd, tol_odd = _compat_mp(h_odd.tolist(), p.theta)
+            out = compat_map(h_even, p)
+            assert isinstance(out, np.ndarray) and out.shape == (q - 1,)
+            for got, want, tol in zip(out.tolist(), f_even, tol_even):
+                assert abs(got - want) <= 4 * math.ulp(tol)
+            res = residual_norm(PeriodTwoField(h_even, h_odd), p)
+            with mp.workdps(50):
+                want = max([abs(h - k * f) for h, f in zip(h_even.tolist(), f_odd)]
+                           + [abs(h - k * f) for h, f in zip(h_odd.tolist(), f_even)])
+            assert abs(res - want) <= 4 * (math.ulp(float(want))
+                                           + k * math.ulp(max(tol_even + tol_odd)))
+            # the same arithmetic as the ndarray residual pair
+            r_even, r_odd = period2_residual(PeriodTwoField(h_even, h_odd), p)
+            assert res == max(np.abs(r_even).max(), np.abs(r_odd).max())
+
+    def test_residual_rejects_wrong_q(self):
+        with pytest.raises(ShapeError):
+            residual_norm(PeriodTwoField.zero(4), ModelParams(q=3, k=3, theta=0.1))
 
 
 class TestPeriod2Residual:
