@@ -112,14 +112,28 @@ def compat_map(h, params: ModelParams) -> np.ndarray:
 
         F_i = ln( (theta*x_i + sum_{j != i} x_j + 1) / (theta + sum_j x_j) )
 
-    Every term in this arrangement is positive, so there is no cancellation,
-    and all exponentials are shifted by the max entry so large fields cannot
-    overflow.  theta = 1 maps every vector to zero.  The vector is checked
+    Every term in this arrangement is positive, and all exponentials are
+    shifted by the max entry so large fields cannot overflow.  The one
+    difference, sum_j x_j - x_i, is rounded at the scale of x_i, and the
+    numerator is at least theta*x_i, so a component can lose about a factor
+    1/theta in accuracy where x_i dominates.  theta = 1 maps every vector
+    to zero.  The vector is checked
     with as_field; the arithmetic runs on plain floats with math.exp and
     math.log (a vector of length q-1 is too short for numpy to pay), and
     only the result is an ndarray.
     """
     return np.array(_compat_floats(as_field(h, params.q).tolist(), params.theta))
+
+
+def _residual_floats(field: PeriodTwoField, params: ModelParams,
+                     ) -> tuple[list[float], list[float]]:
+    """The period-two residual pair as lists, on plain floats."""
+    if field.q != params.q:
+        raise ShapeError(f"field has q={field.q}, params have q={params.q}")
+    k, theta = params.k, params.theta
+    h_even, h_odd = field.h_even.tolist(), field.h_odd.tolist()
+    return ([h - k * f for h, f in zip(h_even, _compat_floats(h_odd, theta))],
+            [h - k * f for h, f in zip(h_odd, _compat_floats(h_even, theta))])
 
 
 def period2_residual(field: PeriodTwoField, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -129,25 +143,14 @@ def period2_residual(field: PeriodTwoField, params: ModelParams) -> tuple[np.nda
     of the tree recursion; a translation-invariant solution is the special
     case h_even = h_odd.
     """
-    if field.q != params.q:
-        raise ShapeError(f"field has q={field.q}, params have q={params.q}")
-    k = params.k
-    r_even = field.h_even - k * compat_map(field.h_odd, params)
-    r_odd = field.h_odd - k * compat_map(field.h_even, params)
-    return r_even, r_odd
+    r_even, r_odd = _residual_floats(field, params)
+    return np.array(r_even), np.array(r_odd)
 
 
 def residual_norm(field: PeriodTwoField, params: ModelParams) -> float:
-    """Max-norm of the period-two residual pair, on plain floats.
-
-    The same arithmetic as period2_residual, without building arrays.
-    """
-    if field.q != params.q:
-        raise ShapeError(f"field has q={field.q}, params have q={params.q}")
-    k, theta = params.k, params.theta
-    h_even, h_odd = field.h_even.tolist(), field.h_odd.tolist()
-    return max(max(abs(h - k * f) for h, f in zip(h_even, _compat_floats(h_odd, theta))),
-               max(abs(h - k * f) for h, f in zip(h_odd, _compat_floats(h_even, theta))))
+    """Max-norm of the period-two residual pair, computed on plain floats."""
+    r_even, r_odd = _residual_floats(field, params)
+    return max(map(abs, r_even + r_odd))
 
 
 def _check_spin(s, q: int) -> int:

@@ -17,8 +17,15 @@ runs only if the bisection goes deep, which is where a repeated root would
 keep it from ending.  The roots above 1 are the partners of those below it
 (the block value f(x) = y^(1/k), the mirror partner t), so each is shrunk
 from a narrow bracket around its partner's float when that bracket shows an
-exact sign change.  Each root is then lifted to its partner value and
-embedded back into the full field system.
+exact sign change.  For block sets the partners are all of them: F = f^k is
+decreasing with F(1) = 1 and maps fixed points of F o F to fixed points, so
+it pairs the roots below 1 one-to-one with those above.  When the partner
+brackets are disjoint, lie above 1 and each shows an exact sign change,
+they are the isolating intervals above 1 and the reversed polynomial is not
+isolated; otherwise it is, as for mirror sets, where a rejected root above
+1 has no partner.  Bracket ends that are exact floats stay floats.  Each
+root is then lifted to its partner value and embedded back into the full
+field system.
 
 scan_sign_changes, refine, Bracket and SolverConfig form a generic grid
 scan that no solver calls; perfbench/tracing.py still hooks
@@ -482,7 +489,8 @@ def _root_bound(coeffs: list[int]) -> float | Fraction:
     return math.ldexp(1.0, exp) if abs(exp) <= 1021 else Fraction(2) ** exp
 
 
-def _partner_bracket(coeffs: list[int], lo, hi, partners: list[float | None]) -> tuple:
+def _partner_bracket(coeffs: list[int], lo: Fraction | float, hi: Fraction | float,
+                     partners: list[float | None]) -> tuple[Fraction | float, Fraction | float]:
     """A narrow bracket of the one root in (lo, hi) around a partner float, else (lo, hi).
 
     The bracket y (1 +- _PARTNER_WIDTH), clipped to (lo, hi), is taken for

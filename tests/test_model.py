@@ -176,9 +176,6 @@ class TestFloatKernel:
                            + [abs(h - k * f) for h, f in zip(h_odd.tolist(), f_even)])
             assert abs(res - want) <= 4 * (math.ulp(float(want))
                                            + k * math.ulp(max(tol_even + tol_odd)))
-            # the same arithmetic as the ndarray residual pair
-            r_even, r_odd = period2_residual(PeriodTwoField(h_even, h_odd), p)
-            assert res == max(np.abs(r_even).max(), np.abs(r_odd).max())
 
     def test_residual_rejects_wrong_q(self):
         with pytest.raises(ShapeError):
