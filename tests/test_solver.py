@@ -368,6 +368,20 @@ def _poly(*factors):
     return out
 
 
+@pytest.fixture
+def isolations(monkeypatch):
+    """The input of every _isolate_unit_interval call from here on."""
+    calls = []
+    isolate = solver._isolate_unit_interval
+
+    def recording(coeffs):
+        calls.append(coeffs)
+        return isolate(coeffs)
+
+    monkeypatch.setattr(solver, "_isolate_unit_interval", recording)
+    return calls
+
+
 class TestExactRootIsolation:
     def test_roots_on_both_sides_of_one(self):
         # (3z-1)(z-2)(z-5)(z+1): the negative root is ignored
@@ -439,38 +453,23 @@ class TestExactRootIsolation:
         (0.1, ["0x1.8d0424ac9d416p-4", "0x1.0000000000000p+0", "0x1.8aec624d97443p+2"]),
         (0.5, ["0x1.0000000000000p+0"]),   # above theta_cr = 2/7: no root below 1
     ])
-    def test_block_roots_above_one_are_paired(self, monkeypatch, theta, xs):
+    def test_block_roots_above_one_are_paired(self, isolations, theta, xs):
         # the partner brackets of the roots below 1 replace the second isolation
-        calls = []
-        isolate = solver._isolate_unit_interval
-
-        def counting(coeffs):
-            calls.append(len(coeffs))
-            return isolate(coeffs)
-
-        monkeypatch.setattr(solver, "_isolate_unit_interval", counting)
         assert [s.x.hex() for s in solve_im(ModelParams(q=5, k=6, theta=theta), 2)] == xs
-        assert len(calls) == 1
+        assert len(isolations) == 1
 
     @pytest.mark.parametrize("fake", [
         lambda y: 1.1,          # no root of T in its bracket: no sign change
         lambda y: 1.0 / y,      # below 1
     ], ids=["no_sign_change", "below_one"])
-    def test_block_pairing_falls_back(self, monkeypatch, fake):
+    def test_block_pairing_falls_back(self, monkeypatch, isolations, fake):
         p = ModelParams(q=5, k=6, theta=0.1)
         want = [(s.x.hex(), s.y.hex()) for s in solve_im(p, 2)]
-        calls = []
-        isolate = solver._isolate_unit_interval
+        isolations.clear()
         mobius_map = solver.mobius_map
-
-        def counting(coeffs):
-            calls.append(len(coeffs))
-            return isolate(coeffs)
-
-        monkeypatch.setattr(solver, "_isolate_unit_interval", counting)
         monkeypatch.setattr(solver, "mobius_map", lambda x, params, m: fake(mobius_map(x, params, m)))
         assert [(s.x.hex(), s.y.hex()) for s in solve_im(p, 2)] == want
-        assert len(calls) == 2
+        assert len(isolations) == 2
 
     def test_unit_root_divided_out_with_multiplicity(self):
         assert _divide_out_unit_root(_poly([-1, 1], [-1, 1], [-1, 1], [2, 1])) == [2, 1]
