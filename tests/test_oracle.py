@@ -18,7 +18,7 @@ from gibbstree import (
     two_step_slope_at_one,
 )
 from gibbstree import oracle
-from gibbstree.model import finite_volume_log_weight, residual_norm
+from gibbstree.model import finite_volume_log_weight, monochromatic_edges, residual_norm
 from gibbstree.oracle import _BoundarySum
 
 from conftest import boundary_log_sum_by_enumeration
@@ -203,11 +203,9 @@ class TestFactorizedBoundarySum:
         for theta in thetas:
             p = ModelParams(q=q, k=k, theta=theta)
             for field in _test_fields(p, rng):
-                bsum = _BoundarySum(tree, p, field)
-                for _ in range(n_configs):
-                    inner = rng.integers(1, q + 1, size=n_inner)
+                rows = rng.integers(1, q + 1, size=(n_configs, n_inner))
+                for inner, got in zip(rows, _BoundarySum(tree, p, rows).log_sums(field)):
                     expected = boundary_log_sum_by_enumeration(tree, p, field, inner)
-                    got = bsum.log_sum(inner)
                     worst = max(worst, abs(got - expected) / max(1.0, abs(expected)))
         assert worst <= 1e-13
 
@@ -231,8 +229,47 @@ class TestFactorizedBoundarySum:
     def test_large_fields_do_not_overflow(self, p33):
         tree = build_tree(3, 2)
         field = PeriodTwoField(np.array([800.0, -800.0]), np.array([-800.0, 800.0]))
-        inner = np.ones(tree.n_vertices - len(tree.boundary()), dtype=np.int64)
-        assert np.isfinite(_BoundarySum(tree, p33, field).log_sum(inner))
+        rows = np.ones((1, tree.n_vertices - len(tree.boundary())), dtype=np.int64)
+        assert np.isfinite(_BoundarySum(tree, p33, rows).log_sums(field)[0])
+
+
+class TestTiedToModel:
+    """The batched oracle against the public Hamiltonian, row by row and exactly."""
+
+    @pytest.mark.parametrize("q, k", [(3, 3), (4, 5)])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_rows_match_sequential_draws(self, q, k, n):
+        tree = build_tree(k, n)
+        n_inner = tree.n_vertices - len(tree.boundary())
+        for seed in (0, 1, 2024):
+            rng = np.random.default_rng(seed)
+            expected = [np.ones(n_inner, dtype=np.int64)]
+            expected += [rng.integers(1, q + 1, size=n_inner) for _ in range(oracle._N_PAIRS)]
+            assert np.array_equal(oracle._draw_rows(q, n_inner, seed), np.stack(expected))
+
+    def test_draws_read_the_pair_count_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_N_PAIRS", 3)
+        assert oracle._draw_rows(3, 5, 0).shape == (4, 5)
+
+    @pytest.mark.parametrize("q, k", [(3, 3), (4, 5)])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_rows_match_model(self, q, k, n):
+        p = ModelParams(q=q, k=k, theta=0.1)
+        tree = build_tree(k, n)
+        inner_edges = [e for e in tree.edges if tree.depth[e[1]] < tree.n]
+        inner_boundary = [(v, n - 1) for v in tree.generations[n - 1]]
+        sol = solve_im(p, 1)[0].full_field
+        fields = [sol, sol.swapped(),
+                  PeriodTwoField(sol.h_even + 0.25, -sol.h_odd)]
+        for seed in (0, 7):
+            rows = oracle._draw_rows(q, tree.n_vertices - len(tree.boundary()), seed)
+            bsum = _BoundarySum(tree, p, rows)
+            configs = rows.tolist()
+            assert bsum.mono == [monochromatic_edges(c, inner_edges, q) for c in configs]
+            for field in fields:
+                assert bsum.inner_log_weights(field) == [
+                    finite_volume_log_weight(c, inner_edges, inner_boundary, field, p)
+                    for c in configs]
 
 
 class TestDeepBalls:
