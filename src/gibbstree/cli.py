@@ -97,7 +97,8 @@ def cmd_solve(args, parser) -> int:
     if args.out:
         write_csv(rows, args.out)
     if args.json:
-        print(json.dumps([asdict(r) for r in rows], indent=2))
+        # vars keeps SweepRow's field order and, unlike asdict, copies nothing
+        print(json.dumps([vars(r) for r in rows], indent=2))
     else:
         print(f"q={params.q} k={params.k} theta={params.theta:.12g}")
         _print_rows(rows)

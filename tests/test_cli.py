@@ -3,13 +3,14 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 import gibbstree
-from gibbstree import oracle
-from gibbstree.sweep import CSV_HEADER, read_csv
+from gibbstree import ModelParams, oracle
+from gibbstree.sweep import CSV_HEADER, parse_set_spec, read_csv, rows_for
 from gibbstree.cli import main
 
 
@@ -44,6 +45,16 @@ class TestSolve:
         assert len(rows) == 3
         assert rows[0]["classification"] == "P2"
         assert rows[1]["x"] == pytest.approx(1.0, abs=1e-10)
+
+    def test_json_bytes_match_asdict(self, capsys):
+        # q=5 has block and mirror sets, so the rows hold floats and None
+        code, out, _ = run(capsys, "solve", "--q", "5", "--k", "6",
+                           "--theta", "0.1", "--json")
+        assert code == 0
+        p = ModelParams(q=5, k=6, theta=0.1)
+        rows = [r for s in parse_set_spec("all", 5) for r in rows_for(p, s)]
+        assert {r.z is None for r in rows} == {True, False}
+        assert out == json.dumps([asdict(r) for r in rows], indent=2) + "\n"
 
     def test_out_writes_csv(self, capsys, tmp_path):
         path = tmp_path / "sols.csv"
