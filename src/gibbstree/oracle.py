@@ -116,10 +116,12 @@ class _BoundarySum:
         self.n = tree.n
         self.theta = params.theta
         self.log_theta = math.log(params.theta)
-        inner_edges = np.array([e for e in tree.edges if tree.depth[e[1]] < tree.n],
-                               dtype=np.intp).reshape(-1, 2)
-        self.mono = (rows[:, inner_edges[:, 0]] == rows[:, inner_edges[:, 1]]).sum(axis=1).tolist()
-        parent_spins = rows[:, [tree.parent[v] for v in tree.boundary()]]
+        # ids below n_inner are the depth-(n-1) ball, the rest its boundary;
+        # the ball's edges are (parent[v], v) for its vertices v > 0
+        n_inner = rows.shape[1]
+        parent = np.array(tree.parent, dtype=np.intp)
+        self.mono = (rows[:, parent[1:n_inner]] == rows[:, 1:]).sum(axis=1).tolist()
+        parent_spins = rows[:, parent[n_inner:]]
         spins = np.arange(1, params.q + 1, dtype=rows.dtype)
         self.counts = np.count_nonzero(parent_spins[:, :, None] == spins, axis=1)
         self.inner_index = rows[:, list(tree.generations[tree.n - 1])] - 1
@@ -139,7 +141,8 @@ class _BoundarySum:
     def inner_log_weights(self, field: PeriodTwoField) -> list[float]:
         """Per row, model.finite_volume_log_weight of the depth-(n-1) ball."""
         h = field.h_even if (self.n - 1) % 2 == 0 else field.h_odd
-        # fsum is exactly rounded, so the zero terms of spin q change no bit
+        # fsum is exactly rounded, so the zero terms of spin q change no bit;
+        # rows become Python floats one at a time, which keeps deep balls small
         h_full = np.append(h, 0.0)
         return [m * self.log_theta + math.fsum(row.tolist())
                 for m, row in zip(self.mono, h_full[self.inner_index])]

@@ -247,10 +247,6 @@ class TestTiedToModel:
             expected += [rng.integers(1, q + 1, size=n_inner) for _ in range(oracle._N_PAIRS)]
             assert np.array_equal(oracle._draw_rows(q, n_inner, seed), np.stack(expected))
 
-    def test_draws_read_the_pair_count_at_call_time(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_N_PAIRS", 3)
-        assert oracle._draw_rows(3, 5, 0).shape == (4, 5)
-
     @pytest.mark.parametrize("q, k", [(3, 3), (4, 5)])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_rows_match_model(self, q, k, n):
