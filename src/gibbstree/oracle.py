@@ -42,7 +42,8 @@ class FiniteTree:
 
     parent[v] is the parent index (-1 for the root), depth[v] the generation,
     generations[d] the tuple of vertex ids at depth d, edges the parent-child
-    pairs in creation order.
+    pairs in creation order.  Ids are given generation by generation, so the
+    ids of each generation follow those of the one before.
     """
 
     k: int
@@ -107,9 +108,9 @@ class _BoundarySum:
     once per check, it holds what does not depend on the field: mono[r], the
     monochromatic edges of the depth-(n-1) ball in row r, which the full and
     the inner weight share; counts[r, s-1], the boundary vertices whose parent
-    has spin s in row r; and the spins of generation n-1, the inner ball's
-    boundary.  log_sums and inner_log_weights then evaluate every row at once
-    for one field.
+    has spin s in row r; and inner_index, the spins less one of generation
+    n-1, the inner ball's boundary.  log_sums and inner_log_weights then
+    evaluate every row at once for one field.
     """
 
     def __init__(self, tree: FiniteTree, params: ModelParams, rows: np.ndarray) -> None:
