@@ -6,7 +6,9 @@ passed, pairs_checked and float.hex of max_relative_error.  The fields are
 the solutions of every invariant set at one theta on each side of
 theta_cr, plus a perturbed copy of each set's first solution below theta_cr,
 which fails.  The checks cover q = k = 3 at depths 1-4 and 8 and every
-3 <= q <= k <= 5 at depths 1-3.  The test re-runs each check from its stored
+3 <= q <= k <= 5 at depths 1-3; after them, one solution and one failure
+each at q = k = 3, depths 9 and 10 (the deepest the term budget allows),
+q = k = 4, depth 6 and q = 4, k = 5, depth 5.  The test re-runs each check from its stored
 inputs and compares exactly, so it ties the oracle alone and not the solver.
 
 Regenerate the file (only when a change is meant to move a report) with
@@ -45,6 +47,12 @@ def _fields(params: ModelParams, rng: np.random.Generator, perturb: bool) -> lis
     return out
 
 
+def _case(q: int, k: int, theta: float, depth: int, seed: int, label: str,
+          f: PeriodTwoField) -> list:
+    return [q, k, theta.hex(), depth, seed, label,
+            [v.hex() for v in f.h_even.tolist()], [v.hex() for v in f.h_odd.tolist()]]
+
+
 def corpus_cases() -> list[list]:
     """[q, k, theta hex, depth, seed, label, h_even hex, h_odd hex] of every case."""
     rng = np.random.default_rng(SEED)
@@ -58,16 +66,21 @@ def corpus_cases() -> list[list]:
             for depth in depths:
                 for label, f in fields:
                     seed = int(rng.choice(_SEEDS))
-                    cases.append([q, k, theta.hex(), depth, seed, label,
-                                  [v.hex() for v in f.h_even.tolist()],
-                                  [v.hex() for v in f.h_odd.tolist()]])
+                    cases.append(_case(q, k, theta, depth, seed, label, f))
             if q == k == 3 and perturb:
                 # depth 8 costs most, so it checks one solution and one failure
                 failing = next(lf for lf in fields if lf[0].endswith("perturbed"))
                 for label, f in (fields[0], failing):
-                    cases.append([q, k, theta.hex(), 8, 0, label,
-                                  [v.hex() for v in f.h_even.tolist()],
-                                  [v.hex() for v in f.h_odd.tolist()]])
+                    cases.append(_case(q, k, theta, 8, 0, label, f))
+    # deeper balls, drawn after the cases above so that none of their draws
+    # moves; each checks one solution and one failure below theta_cr
+    for q, k, depths in ((3, 3, (9, 10)), (4, 4, (6,)), (4, 5, (5,))):
+        theta = float(rng.uniform(0.02, theta_critical(q, k)))
+        fields = _fields(ModelParams(q=q, k=k, theta=theta), rng, True)
+        failing = next(lf for lf in fields if lf[0].endswith("perturbed"))
+        for depth in depths:
+            for label, f in (fields[0], failing):
+                cases.append(_case(q, k, theta, depth, int(rng.choice(_SEEDS)), label, f))
     return cases
 
 
@@ -95,7 +108,7 @@ def test_reports_match_corpus():
 
 def test_corpus_holds_passes_and_failures():
     records = json.loads(CORPUS.read_text())
-    for depth in (1, 2, 3, 4, 8):
+    for depth in (1, 2, 3, 4, 5, 6, 8, 9, 10):
         verdicts = {r["passed"] for r in records if r["case"][3] == depth}
         assert verdicts == {True, False}, depth
     assert {r["case"][4] for r in records} == set(_SEEDS)
