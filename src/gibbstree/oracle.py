@@ -38,94 +38,74 @@ _N_PAIRS = 20   # random interior configurations per check, besides the all-ones
 
 @dataclass(frozen=True)
 class FiniteTree:
-    """A rooted ball of a Cayley tree: the root has k+1 neighbors, others k+1 total.
+    """Depth-n Cayley-tree ball of order k: the root has k+1 children, other inner vertices k.
 
-    parent[v] is the parent index (-1 for the root), depth[v] the generation,
-    generations[d] the tuple of vertex ids at depth d, edges the parent-child
-    pairs in creation order.  Ids are given generation by generation, so the
-    ids of each generation follow those of the one before.
+    Ids run generation by generation: generations[d] is the range of ids at
+    depth d, and each range starts where the one before stops.  So vertex
+    v >= 1 has parent max(0, (v - 2) // k), and the children of a vertex are
+    consecutive ids.
     """
 
     k: int
     n: int
-    parent: tuple[int, ...]
-    depth: tuple[int, ...]
-    generations: tuple[tuple[int, ...], ...]
-    edges: tuple[tuple[int, int], ...]
+    generations: tuple[range, ...]
 
-    def boundary(self) -> tuple[int, ...]:
+    def boundary(self) -> range:
         """Vertex ids of the outermost generation."""
         return self.generations[self.n]
 
     @property
     def n_vertices(self) -> int:
-        return len(self.parent)
+        return self.generations[-1].stop
 
 
 def build_tree(k: int, n: int) -> FiniteTree:
     """Depth-n ball with root branching k+1 and inner branching k."""
-    if not isinstance(k, int) or k < 1:
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ParameterError(f"k must be a positive integer, got {k!r}")
-    if not isinstance(n, int) or n < 0:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ParameterError(f"n must be a nonnegative integer, got {n!r}")
-    size = 1
-    width = k + 1
-    for _ in range(n):
-        size += width
-        width *= k
+    # 1 + (k+1)(1 + k + ... + k^(n-1)) vertices, counted before any generation
+    # is made, so a refused depth costs no memory
+    size = 1 + (k + 1) * ((k**n - 1) // (k - 1) if k > 1 else n)
     if size > _MAX_VERTICES:
         raise BudgetError(f"depth-{n} ball has {size} vertices, budget {_MAX_VERTICES}")
-    parent = [-1]
-    depth = [0]
-    generations = [(0,)]
-    edges = []
-    frontier = [0]
-    for d in range(1, n + 1):
-        new_frontier = []
-        branching = k + 1 if d == 1 else k
-        for v in frontier:
-            for _ in range(branching):
-                u = len(parent)
-                parent.append(v)
-                depth.append(d)
-                edges.append((v, u))
-                new_frontier.append(u)
-        generations.append(tuple(new_frontier))
-        frontier = new_frontier
-    return FiniteTree(
-        k=k, n=n,
-        parent=tuple(parent),
-        depth=tuple(depth),
-        generations=tuple(generations),
-        edges=tuple(edges),
-    )
+    generations = [range(1)]
+    width = k + 1
+    for _ in range(n):
+        stop = generations[-1].stop
+        generations.append(range(stop, stop + width))
+        width *= k
+    return FiniteTree(k=k, n=n, generations=tuple(generations))
 
 
 class _BoundarySum:
     """Both log weights of every interior configuration of one check, as one array.
 
-    rows is a (configurations x inner vertices) array of spins in 1..q.  Built
-    once per check, it holds what does not depend on the field: mono[r], the
-    monochromatic edges of the depth-(n-1) ball in row r, which the full and
-    the inner weight share; counts[r, s-1], the boundary vertices whose parent
-    has spin s in row r; and inner_index, the spins less one of generation
-    n-1, the inner ball's boundary.  log_sums and inner_log_weights then
-    evaluate every row at once for one field.
+    rows is a (configurations x inner vertices) array of spins in 1..q, the
+    columns in id order.  Built once per check, it holds what does not depend
+    on the field: mono[r], the monochromatic edges of the depth-(n-1) ball in
+    row r, which the full and the inner weight share; counts[r, s-1], the
+    boundary vertices whose parent has spin s in row r; and inner_index, the
+    spins less one of generation n-1, the inner ball's boundary and the
+    boundary's parents.  Every vertex of generation n-1 has the same number
+    of boundary children, so counts is that number times the spin counts of
+    generation n-1.  log_sums and inner_log_weights then evaluate every row
+    at once for one field.
     """
 
     def __init__(self, tree: FiniteTree, params: ModelParams, rows: np.ndarray) -> None:
         self.n = tree.n
         self.theta = params.theta
         self.log_theta = math.log(params.theta)
-        # ids below n_inner are the depth-(n-1) ball, the rest its boundary;
-        # the ball's edges are (parent[v], v) for its vertices v > 0
-        n_inner = rows.shape[1]
-        parent = np.array(tree.parent, dtype=np.intp)
-        self.mono = (rows[:, parent[1:n_inner]] == rows[:, 1:]).sum(axis=1).tolist()
-        parent_spins = rows[:, parent[n_inner:]]
+        # the depth-(n-1) ball's edges are (parent of v, v) for its vertices v > 0
+        parent = np.maximum((np.arange(1, rows.shape[1]) - 2) // tree.k, 0)
+        self.mono = (rows[:, parent] == rows[:, 1:]).sum(axis=1).tolist()
+        last = rows[:, tree.generations[tree.n - 1].start:]
+        children = tree.k + 1 if tree.n == 1 else tree.k
         spins = np.arange(1, params.q + 1, dtype=rows.dtype)
-        self.counts = np.count_nonzero(parent_spins[:, :, None] == spins, axis=1)
-        self.inner_index = rows[:, list(tree.generations[tree.n - 1])] - 1
+        self.counts = children * np.count_nonzero(last[:, :, None] == spins, axis=1)
+        self.inner_index = last - 1
 
     def log_sums(self, field: PeriodTwoField) -> list[float]:
         """Per row, log sum over all boundary spin assignments of the full volume weight."""
@@ -188,13 +168,16 @@ def check_consistency(tree: FiniteTree, params: ModelParams, field: PeriodTwoFie
     so the check tests h_even = (k+1) F(h_odd), which no genuinely
     period-two field satisfies in either order; it runs on the field alone.
 
-    tol must be finite and >= 0 and seed a nonnegative integer; otherwise
-    ParameterError is raised.
+    The tree must have params' k and the field params' q, tol must be finite
+    and >= 0 and seed a nonnegative integer; otherwise ParameterError is
+    raised.
     """
     if tree.n < 1:
         raise ParameterError("consistency check needs a ball of depth >= 1")
     if field.q != params.q:
         raise ParameterError(f"field has q={field.q}, params q={params.q}")
+    if tree.k != params.k:
+        raise ParameterError(f"tree has k={tree.k}, params k={params.k}")
     if not math.isfinite(tol) or tol < 0.0:
         raise ParameterError(f"tol must be a finite nonnegative real, got {tol!r}")
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:

@@ -149,6 +149,37 @@ def block_roots_by_scan(params: ModelParams, m: int, points: int = 20001) -> lis
     return _roots_by_sign_scan(sign, np.geomspace(lo, hi, points).tolist())
 
 
+def explicit_ball(k: int, n: int) -> tuple[list[int], list[int], list[tuple[int, int]]]:
+    """parent, depth and edges of the depth-n ball, built vertex by vertex.
+
+    The root gets k+1 children and every later inner vertex k; each new
+    vertex takes the next id, generation by generation, so the ids match the
+    oracle's.  The root's parent is -1; edges are (parent, child) pairs in
+    creation order.  An explicit construction to check the oracle's id
+    arithmetic against.
+    """
+    parent, depth, edges = [-1], [0], []
+    frontier = [0]
+    for d in range(1, n + 1):
+        new_frontier = []
+        for v in frontier:
+            for _ in range(k + 1 if d == 1 else k):
+                u = len(parent)
+                parent.append(v)
+                depth.append(d)
+                edges.append((v, u))
+                new_frontier.append(u)
+        frontier = new_frontier
+    return parent, depth, edges
+
+
+def inner_ball(k: int, n: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """Edges of the depth-(n-1) ball and its (vertex, depth) boundary, from explicit_ball."""
+    _, depth, edges = explicit_ball(k, n)
+    inner_edges = [(u, v) for u, v in edges if depth[v] < n]
+    return inner_edges, [(v, n - 1) for v, d in enumerate(depth) if d == n - 1]
+
+
 def boundary_log_sum_by_enumeration(tree, params: ModelParams, field,
                                     inner: np.ndarray) -> float:
     """log of the depth-n ball's weight summed over every boundary assignment.
@@ -156,19 +187,20 @@ def boundary_log_sum_by_enumeration(tree, params: ModelParams, field,
     An independent cross-check of the oracle's factorized boundary sum: lists
     all q^b boundary spin assignments, adds the monochromatic edges and the
     parity-appropriate field of each, and sums the weights after a max shift.
+    The ball comes from explicit_ball, not from the tree's id arithmetic.
     Feasible only for small balls (q^b rows of b spins).
     """
     q = params.q
-    boundary = tree.boundary()
+    parent, depth, edges = explicit_ball(tree.k, tree.n)
+    boundary = [v for v, d in enumerate(depth) if d == tree.n]
     b = len(boundary)
-    parents = np.array([tree.parent[v] for v in boundary], dtype=np.int64)
+    parents = np.array([parent[v] for v in boundary], dtype=np.int64)
     combos = np.stack(
         np.unravel_index(np.arange(q ** b), (q,) * b), axis=-1
     ).astype(np.int8) + 1
     h = field.h_even if tree.n % 2 == 0 else field.h_odd
     boundary_term = np.append(h, 0.0)[combos.astype(np.int64) - 1].sum(axis=1)
-    inner_mono = sum(1 for u, v in tree.edges
-                     if tree.depth[v] < tree.n and inner[u] == inner[v])
+    inner_mono = sum(1 for u, v in edges if depth[v] < tree.n and inner[u] == inner[v])
     cross_mono = (combos == inner[parents].astype(np.int8)[None, :]).sum(axis=1)
     logw = (inner_mono + cross_mono) * math.log(params.theta) + boundary_term
     shift = float(logw.max())

@@ -21,29 +21,48 @@ from gibbstree import oracle
 from gibbstree.model import finite_volume_log_weight, monochromatic_edges, residual_norm
 from gibbstree.oracle import _BoundarySum
 
-from conftest import boundary_log_sum_by_enumeration
+from conftest import boundary_log_sum_by_enumeration, explicit_ball, inner_ball
+
+
+# every ball up to depth 6 of order up to 6 fits the vertex budget
+_BALLS = [(k, n) for k in range(1, 7) for n in range(7)]
 
 
 class TestBuildTree:
+    """The ball's id arithmetic against explicit_ball, built vertex by vertex."""
+
     def test_order_three_depth_two(self):
         tree = build_tree(3, 2)
+        assert tree.generations == (range(0, 1), range(1, 5), range(5, 17))
         assert tree.n_vertices == 1 + 4 + 12
-        assert len(tree.edges) == 16
-        assert len(tree.boundary()) == 12
-        assert tree.generations[0] == (0,)
-        assert len(tree.generations[1]) == 4
+        assert tree.boundary() == range(5, 17)
+
+    def test_parents_and_depths_agree(self):
+        for k, n in _BALLS:
+            tree = build_tree(k, n)
+            parent, depth, _ = explicit_ball(k, n)
+            assert len(tree.generations) == n + 1
+            for d, ids in enumerate(tree.generations):
+                assert list(ids) == [v for v, dv in enumerate(depth) if dv == d], (k, n, d)
+            assert tree.n_vertices == len(parent)
+            assert tree.boundary() == tree.generations[n]
+            assert parent[1:] == [max(0, (v - 2) // k) for v in range(1, tree.n_vertices)]
 
     def test_root_branching_convention(self):
-        # root carries k+1 children, every later vertex k
-        tree = build_tree(3, 3)
-        children = {v: 0 for v in range(tree.n_vertices)}
-        for parent, child in tree.edges:
-            children[parent] += 1
-        assert children[0] == 4
-        for v in tree.generations[1] + tree.generations[2]:
-            assert children[v] == 3
-        for v in tree.generations[3]:
-            assert children[v] == 0
+        # the documented parent formula gives the root k+1 children, every
+        # later inner vertex k and the boundary none, as the explicit ball does
+        for k, n in _BALLS:
+            tree = build_tree(k, n)
+            children = [0] * tree.n_vertices
+            for v in range(1, tree.n_vertices):
+                children[max(0, (v - 2) // k)] += 1
+            expected = [0] * tree.n_vertices
+            for u, _ in explicit_ball(k, n)[2]:
+                expected[u] += 1
+            assert children == expected, (k, n)
+            for d, ids in enumerate(tree.generations):
+                want = 0 if d == n else k + 1 if d == 0 else k
+                assert {children[v] for v in ids} == {want}, (k, n, d)
 
     def test_path_tree(self):
         tree = build_tree(1, 4)
@@ -51,21 +70,26 @@ class TestBuildTree:
             assert len(tree.generations[d]) == 2
 
     def test_depth_zero(self):
-        tree = build_tree(3, 0)
-        assert tree.n_vertices == 1
-        assert tree.edges == ()
-        assert tree.boundary() == (0,)
-
-    def test_parents_and_depths_agree(self):
-        tree = build_tree(2, 3)
-        assert tree.parent[0] == -1
-        for parent, child in tree.edges:
-            assert tree.depth[child] == tree.depth[parent] + 1
-            assert tree.parent[child] == parent
+        for k in range(1, 7):
+            tree = build_tree(k, 0)
+            assert tree.generations == (range(1),)
+            assert tree.n_vertices == 1
+            assert tree.boundary() == range(1)
+            assert explicit_ball(k, 0) == ([-1], [0], [])
 
     def test_budget(self):
         with pytest.raises(BudgetError):
             build_tree(3, 20)
+
+    def test_budget_edges_at_order_three(self, p33):
+        field = solve_im(p33, 1)[0].full_field
+        assert check_consistency(build_tree(3, 10), p33, field).passed
+        tree = build_tree(3, 11)
+        assert tree.n_vertices == 354_293
+        with pytest.raises(BudgetError, match="boundary sum needs"):
+            check_consistency(tree, p33, field)
+        with pytest.raises(BudgetError, match="1062881 vertices"):
+            build_tree(3, 12)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ParameterError):
@@ -74,6 +98,10 @@ class TestBuildTree:
             build_tree(3, -1)
         with pytest.raises(ParameterError):
             build_tree(3, 1.5)
+        with pytest.raises(ParameterError):
+            build_tree(True, 2)
+        with pytest.raises(ParameterError):
+            build_tree(3, True)
 
 
 class TestCheckConsistency:
@@ -124,6 +152,12 @@ class TestCheckConsistency:
         tree = build_tree(3, 1)
         with pytest.raises(ParameterError):
             check_consistency(tree, p33, PeriodTwoField.zero(4))
+
+    def test_k_mismatch_rejected(self, p33):
+        # an order-4 ball would check another model than the order-3 params
+        sol = solve_im(p33, 1)[0]
+        with pytest.raises(ParameterError, match="k=4"):
+            check_consistency(build_tree(4, 2), p33, sol.full_field)
 
     def test_budget_env_override(self, p33, monkeypatch):
         tree = build_tree(3, 2)
@@ -180,8 +214,7 @@ def _brute_force_error(tree, params, field, n_pairs, seed):
     n_inner = tree.n_vertices - len(tree.boundary())
     configs = [np.ones(n_inner, dtype=np.int64)]
     configs += [rng.integers(1, params.q + 1, size=n_inner) for _ in range(n_pairs)]
-    inner_edges = [e for e in tree.edges if tree.depth[e[1]] < tree.n]
-    inner_boundary = [(v, tree.n - 1) for v in tree.generations[tree.n - 1]]
+    inner_edges, inner_boundary = inner_ball(tree.k, tree.n)
     gaps = [boundary_log_sum_by_enumeration(tree, params, field, inner)
             - finite_volume_log_weight({v: int(s) for v, s in enumerate(inner)},
                                        inner_edges, inner_boundary, field, params)
@@ -252,8 +285,7 @@ class TestTiedToModel:
     def test_rows_match_model(self, q, k, n):
         p = ModelParams(q=q, k=k, theta=0.1)
         tree = build_tree(k, n)
-        inner_edges = [e for e in tree.edges if tree.depth[e[1]] < tree.n]
-        inner_boundary = [(v, n - 1) for v in tree.generations[n - 1]]
+        inner_edges, inner_boundary = inner_ball(k, n)
         sol = solve_im(p, 1)[0].full_field
         fields = [sol, sol.swapped(),
                   PeriodTwoField(sol.h_even + 0.25, -sol.h_odd)]
