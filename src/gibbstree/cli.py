@@ -29,7 +29,8 @@ from .sweep import (
     read_csv,
     rows_for,
     run_sweep,
-    solve_set,
+    solve_set,  # noqa: F401  unused; perfbench/tracing.py hooks it here
+    solve_sets,
     write_bifurcation_svg,
     write_csv,
 )
@@ -91,9 +92,7 @@ def _print_rows(rows) -> None:
 
 def cmd_solve(args, parser) -> int:
     params = _params_from(args, parser)
-    rows = []
-    for set_id in parse_set_spec(args.set, args.q):
-        rows.extend(rows_for(params, set_id))
+    rows = rows_for(params, parse_set_spec(args.set, args.q))
     if args.out:
         write_csv(rows, args.out)
     if args.json:
@@ -141,8 +140,9 @@ def cmd_verify(args, parser) -> int:
     tree = build_tree(params.k, args.depth)
     all_passed = True
     results = []
-    for set_id in parse_set_spec(args.set, args.q):
-        for i, sol in enumerate(solve_set(params, set_id)):
+    set_ids = parse_set_spec(args.set, args.q)
+    for set_id, solutions in zip(set_ids, solve_sets(params, set_ids)):
+        for i, sol in enumerate(solutions):
             report = check_consistency(tree, params, sol.full_field,
                                        tol=args.tol, seed=args.seed)
             results.append((set_id.label(), i, report))

@@ -75,7 +75,10 @@ class ReducedScalar:
 
     Mirror solutions also carry the root coordinates (z, t) with x = z^k and
     y = t^k.  embed_full fills in full_field and residual_full, the expanded
-    (q-1)-component field pair and its max-norm fixed-point residual.
+    (q-1)-component field pair and its max-norm fixed-point residual.  The
+    block solvers set bracket on every non-unit solution: the exact ends
+    (lo, hi) of an interval that holds the exact root x rounds, and no
+    other root of the two-step polynomial (lo == hi when x is that root).
     """
 
     x: float
@@ -85,6 +88,7 @@ class ReducedScalar:
     t: float | None = None
     residual_full: float = field(default=math.nan, init=False)
     full_field: PeriodTwoField | None = field(default=None, init=False, repr=False)
+    bracket: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (self.x > 0.0 and math.isfinite(self.x)):

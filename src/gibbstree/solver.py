@@ -25,7 +25,9 @@ they are the isolating intervals above 1 and the reversed polynomial is not
 isolated; otherwise it is, as for mirror sets, where a rejected root above
 1 has no partner.  Bracket ends that are exact floats stay floats.  Each
 root is then lifted to its partner value and embedded back into the full
-field system.
+field system.  Block set q-m is the image of block set m under x -> 1/x,
+so solve_im_reciprocal rounds its roots inside the reciprocals of the
+brackets a solve of set m certified, and isolates nothing.
 
 scan_sign_changes, refine, Bracket and SolverConfig form a generic grid
 scan that no solver calls; perfbench/tracing.py still hooks
@@ -532,7 +534,13 @@ def _paired_brackets(coeffs: list[int], partners: list[float | None],
 
 
 def _positive_roots(coeffs: list[int], partner=None, k: int = 1) -> list[float]:
-    """Every positive root other than 1 of an integer polynomial, ascending.
+    """The roots of _certified_roots, without their brackets."""
+    return [x for x, _ in _certified_roots(coeffs, partner, k)]
+
+
+def _certified_roots(coeffs: list[int], partner=None, k: int = 1,
+                     ) -> list[tuple[float, tuple[Fraction | float, Fraction | float]]]:
+    """Every positive root other than 1 of an integer polynomial, ascending, with its bracket.
 
     Divides out the root 1 with its multiplicity.  Roots in (0, 1) are
     isolated directly; roots in (1, inf) are the reciprocals of the roots in
@@ -560,6 +568,11 @@ def _positive_roots(coeffs: list[int], partner=None, k: int = 1) -> list[float]:
     exactly as many roots above 1 as below.  If any partner bracket fails,
     the reversed polynomial is isolated as for k = 1.  The pairing does not
     hold for the mirror polynomial, whose rejected roots have no partner.
+
+    Each root comes as (float, (lo, hi)): lo <= root <= hi are the exact
+    ends of the shrunk bracket it was rounded in, which holds no other root
+    (with k > 1, the bracket of z raised to the k-th power, which holds no
+    other root of R); lo == hi when the root is found exactly.
     """
     sign_x = _two_step_sign(coeffs, k) if k > 1 else None
     deflated = _divide_out_unit_root(coeffs)
@@ -567,17 +580,18 @@ def _positive_roots(coeffs: list[int], partner=None, k: int = 1) -> list[float]:
     flip_below = (len(coeffs) - len(deflated)) % 2 == 1
     coeffs = deflated
 
-    def nearest(lo, hi) -> float:
+    def nearest(lo, hi):
         lo, hi, s_lo = _shrink(coeffs, lo, hi)
         if k == 1:
-            return _nearest_float(lambda x: _sign_at(coeffs, x), lo, hi, s_lo)
+            return _nearest_float(lambda x: _sign_at(coeffs, x), lo, hi, s_lo), (lo, hi)
         if flip_below and hi <= 1:
             s_lo = -s_lo
-        return _nearest_float(sign_x, Fraction(lo) ** k, Fraction(hi) ** k, s_lo)
+        lo, hi = Fraction(lo) ** k, Fraction(hi) ** k
+        return _nearest_float(sign_x, lo, hi, s_lo), (lo, hi)
 
     low = 1 / _root_bound(coeffs[::-1])
     roots = [nearest(lo or low, hi) for lo, hi in _isolate_unit_interval(coeffs)]
-    partners = [partner(x) for x in roots] if partner else []
+    partners = [partner(x) for x, _ in roots] if partner else []
     above = _paired_brackets(coeffs, partners) if k > 1 and partner else None
     if above is None:
         high = _root_bound(coeffs)
@@ -600,16 +614,74 @@ def solve_im(params: ModelParams, m: int) -> list[ReducedScalar]:
     params.require_solver_regime()
     set_id = InvariantSetId(SetKind.IM, m)
     set_id.validate_for(params.q)
+    solutions = []
     # the partner y = f(x)^k of a root x is a root of R, so f(x) is one of T
-    solutions = [ReducedScalar(x=x, y=mobius_pow_k(x, params, m), set_id=set_id)
-                 for x in _positive_roots(im_coeffs(params, m),
-                                          lambda x: mobius_map(x, params, m), params.k)]
+    for x, bracket in _certified_roots(im_coeffs(params, m),
+                                       lambda x: mobius_map(x, params, m), params.k):
+        sol = ReducedScalar(x=x, y=mobius_pow_k(x, params, m), set_id=set_id)
+        sol.bracket = bracket
+        solutions.append(sol)
     # x = 1 is always a fixed point, and f(1) = 1 exactly
     solutions.append(ReducedScalar(x=1.0, y=1.0, set_id=set_id))
     solutions.sort(key=lambda s: s.x)
     for sol in solutions:
         embed_full(sol, params)
     return solutions
+
+
+def _reciprocal_bracket(x: float, lo: Fraction | float, hi: Fraction | float,
+                        ) -> tuple[Fraction | float, Fraction | float]:
+    """(1/b, 1/a), for (a, b) the bracket (lo, hi) of a root narrowed around x.
+
+    (a, b) keeps the reals of (lo, hi) that are nearer to x than to any
+    other float, so it still holds the root if x is the float nearest to it.
+    """
+    below = (Fraction(x) + Fraction(math.nextafter(x, 0.0))) / 2
+    above = (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
+    return 1 / Fraction(min(hi, above)), 1 / Fraction(max(lo, below))
+
+
+def solve_im_reciprocal(params: ModelParams, m: int,
+                        solutions: list[ReducedScalar]) -> list[ReducedScalar]:
+    """All solutions of block set im:q-m, from solutions = solve_im(params, m).
+
+    The same as solve_im(params, q - m), bit for bit, without isolating a
+    root.  The map x -> 1/x exchanges the two sets: with the set index m
+    replaced by q-m, a, b, c and d of invariants.im_coeffs become d, c, b
+    and a, so im_coeffs(params, q-m) is im_coeffs(params, m) reversed and
+    negated, and sign R_(q-m)(x) = -sign R_m(1/x) for x > 0.  The non-unit
+    solutions of im:q-m are therefore the reciprocals of those of im:m, in
+    reverse order.  Each is rounded to its nearest float by exact signs of
+    R_(q-m) inside the reciprocal of the primary root's bracket, which
+    solve_im certified to hold that root of R_m alone (ReducedScalar.bracket),
+    narrowed to the reals nearer to the primary's x than to any other float.
+    Where such a bracket shows no exact sign change of R_(q-m) at its ends
+    (no zero, if its ends meet), or a non-unit solution carries no bracket,
+    the set is solved by solve_im(params, q - m) instead.  Each derived
+    solution carries its bracket in turn.
+    """
+    params.require_solver_regime()
+    InvariantSetId(SetKind.IM, m).validate_for(params.q)
+    set_id = InvariantSetId(SetKind.IM, params.q - m)
+    sign = _two_step_sign(im_coeffs(params, set_id.m), params.k)
+    derived = []
+    for sol in reversed(solutions):
+        if sol.bracket is None:
+            if sol.x != 1.0:
+                return solve_im(params, set_id.m)
+            derived.append(ReducedScalar(x=1.0, y=1.0, set_id=set_id))
+            continue
+        lo, hi = _reciprocal_bracket(sol.x, *sol.bracket)
+        s_lo = sign(lo)
+        if not (s_lo * sign(hi) < 0 if lo < hi else s_lo == 0):
+            return solve_im(params, set_id.m)
+        x = _nearest_float(sign, lo, hi, s_lo)
+        new = ReducedScalar(x=x, y=mobius_pow_k(x, params, set_id.m), set_id=set_id)
+        new.bracket = (lo, hi)
+        derived.append(new)
+    for sol in derived:
+        embed_full(sol, params)
+    return derived
 
 
 def solve_im_prime(params: ModelParams, m: int,

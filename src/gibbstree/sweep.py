@@ -18,7 +18,7 @@ from .catalog import classify
 from .errors import ParameterError, SelectorSyntaxError
 from .invariants import InvariantSetId, ReducedScalar, SetKind
 from .model import ModelParams
-from .solver import solve_im, solve_im_prime
+from .solver import solve_im, solve_im_prime, solve_im_reciprocal
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -62,6 +62,27 @@ def solve_set(params: ModelParams, set_id: InvariantSetId) -> list[ReducedScalar
     return solutions
 
 
+def solve_sets(params: ModelParams, set_ids: list[InvariantSetId]) -> list[list[ReducedScalar]]:
+    """solve_set of every requested set, in request order, solving each block pair once.
+
+    Block sets m and q-m are reciprocal (see solver.solve_im_reciprocal).
+    Where both are requested and m < q-m, im:q-m is derived from the
+    solutions of im:m; every other set is solved by solve_set.
+    """
+    q = params.q
+    block = {s.m for s in set_ids if s.kind is SetKind.IM}
+    # each derived set im:q-m and the m of its requested partner
+    partners = {s: q - s.m for s in set_ids
+                if s.kind is SetKind.IM and 0 < q - s.m < s.m and q - s.m in block}
+    solved = {}
+    for set_id in set_ids:
+        if set_id not in solved and set_id not in partners:
+            solved[set_id] = solve_set(params, set_id)
+    for set_id, m in partners.items():
+        solved[set_id] = solve_im_reciprocal(params, m, solved[InvariantSetId(SetKind.IM, m)])
+    return [solved[set_id] for set_id in set_ids]
+
+
 def parse_set_spec(spec: str, q: int) -> list[InvariantSetId]:
     """Expand a set selector: "im:2", "imprime:1", or "all".
 
@@ -84,22 +105,26 @@ def parse_set_spec(spec: str, q: int) -> list[InvariantSetId]:
     return [set_id]
 
 
-def rows_for(params: ModelParams, set_id: InvariantSetId) -> list[SweepRow]:
-    """Solve one invariant set and flatten its solutions into classified rows."""
+def rows_for(params: ModelParams, set_ids: list[InvariantSetId]) -> list[SweepRow]:
+    """Solve the invariant sets with solve_sets and flatten their solutions into classified rows.
+
+    Rows run set by set in request order, and ascending in x within a set.
+    """
     rows = []
-    for i, sol in enumerate(solve_set(params, set_id)):
-        rows.append(SweepRow(
-            theta=params.theta,
-            set_kind=set_id.kind.value,
-            m=set_id.m,
-            sol_index=i,
-            x=sol.x,
-            y=sol.y,
-            z=sol.z,
-            t=sol.t,
-            classification=classify(sol, params).value,
-            residual_full=sol.residual_full,
-        ))
+    for set_id, solutions in zip(set_ids, solve_sets(params, set_ids)):
+        for i, sol in enumerate(solutions):
+            rows.append(SweepRow(
+                theta=params.theta,
+                set_kind=set_id.kind.value,
+                m=set_id.m,
+                sol_index=i,
+                x=sol.x,
+                y=sol.y,
+                z=sol.z,
+                t=sol.t,
+                classification=classify(sol, params).value,
+                residual_full=sol.residual_full,
+            ))
     return rows
 
 
@@ -118,9 +143,7 @@ def run_sweep(q: int, k: int, theta_min: float, theta_max: float, steps: int,
         )
     rows: list[SweepRow] = []
     for theta in np.linspace(theta_min, theta_max, steps):
-        params = ModelParams(q=q, k=k, theta=float(theta))
-        for set_id in set_ids:
-            rows.extend(rows_for(params, set_id))
+        rows.extend(rows_for(ModelParams(q=q, k=k, theta=float(theta)), set_ids))
     return rows
 
 

@@ -52,7 +52,7 @@ class TestSolve:
                            "--theta", "0.1", "--json")
         assert code == 0
         p = ModelParams(q=5, k=6, theta=0.1)
-        rows = [r for s in parse_set_spec("all", 5) for r in rows_for(p, s)]
+        rows = [r for s in parse_set_spec("all", 5) for r in rows_for(p, [s])]
         assert {r.z is None for r in rows} == {True, False}
         assert out == json.dumps([asdict(r) for r in rows], indent=2) + "\n"
 

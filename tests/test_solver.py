@@ -33,8 +33,10 @@ from gibbstree.solver import (
     _positive_roots,
     _require_squarefree,
     _sign_at,
+    _two_step_sign,
     refine,
     scan_sign_changes,
+    solve_im_reciprocal,
 )
 
 from conftest import (
@@ -571,6 +573,121 @@ class TestExactSign:
     def test_other_points_refused(self):
         with pytest.raises(EvaluationError):
             _sign_at([1, 2, 3], Fraction(3, 5))
+
+
+def _reciprocal_draws(n: int, q_max: int, k_max: int, seed: int):
+    """n seeded parameter points with q <= q_max, k <= k_max, on and around theta_cr."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        k = int(rng.integers(3, k_max + 1))
+        q = int(rng.integers(3, min(k, q_max) + 1))
+        t_cr = theta_critical(q, k)
+        theta = float(rng.choice([t_cr, t_cr * (1.0 - 1e-9), t_cr * (1.0 + 1e-9), t_cr - 1e-10,
+                                  rng.uniform(0.02, t_cr), rng.uniform(t_cr, 0.98)]))
+        yield ModelParams(q=q, k=k, theta=theta)
+
+
+def _hexes(solutions):
+    return [(s.x.hex(), s.y.hex(), s.residual_full.hex()) for s in solutions]
+
+
+class TestReciprocalSets:
+    """x -> 1/x maps block set im:m onto im:q-m, exactly."""
+
+    def test_coefficients_are_reversed_and_negated(self):
+        checked = set()
+        for p in _reciprocal_draws(120, 9, 16, seed=401):
+            for m in range(1, p.q):
+                assert im_coeffs(p, p.q - m) == [-c for c in reversed(im_coeffs(p, m))], p
+            checked.add(p.theta == theta_critical(p.q, p.k))
+        assert checked == {True, False}
+
+    def test_sign_relation_at_dyadics_and_reciprocals(self):
+        # sign R_(q-m)(x) = -sign R_m(1/x), with R from its defining formula,
+        # and the solver's exact sign function agrees at both kinds of point
+        def sign(v):
+            return (v > 0) - (v < 0)
+
+        rng = np.random.default_rng(409)
+        for p in _reciprocal_draws(24, 9, 16, seed=403):
+            m = int(rng.integers(1, p.q))
+            points = [Fraction(int(rng.integers(1, 2 ** 20)), 2 ** int(rng.integers(0, 40)))
+                      for _ in range(3)]
+            points += [1 / x for x in points]
+            sign_m = _two_step_sign(im_coeffs(p, m), p.k)
+            sign_qm = _two_step_sign(im_coeffs(p, p.q - m), p.k)
+            for x in points:
+                s = sign(two_step_value(p, p.q - m, x))
+                assert s == -sign(two_step_value(p, m, 1 / x)) != 0
+                assert sign_qm(x) == s and sign_m(1 / x) == -s
+
+    def test_derived_set_is_the_direct_solve(self):
+        for p in _reciprocal_draws(40, 7, 16, seed=419):
+            for m in range(1, p.q):
+                primary = solve_im(p, m)
+                derived = solve_im_reciprocal(p, m, primary)
+                assert _hexes(derived) == _hexes(solve_im(p, p.q - m)), (p, m)
+                assert {s.set_id.m for s in derived} == {p.q - m}
+                # each derived root was rounded inside the reciprocal of its
+                # primary's certified bracket
+                for a, b in zip(reversed(primary), derived):
+                    assert (a.bracket is None) == (b.bracket is None)
+                    if a.bracket is not None:
+                        lo, hi = b.bracket
+                        assert 1 / a.bracket[1] <= lo <= hi <= 1 / a.bracket[0]
+                # the map is an involution, and derived solutions carry brackets too
+                assert _hexes(solve_im_reciprocal(p, p.q - m, derived)) == _hexes(primary)
+
+    @pytest.fixture
+    def block_solves(self, monkeypatch):
+        """The m of every solve_im call solve_im_reciprocal makes from here on."""
+        calls = []
+        solve = solver.solve_im
+
+        def recording(params, m):
+            calls.append(m)
+            return solve(params, m)
+
+        monkeypatch.setattr(solver, "solve_im", recording)
+        return calls
+
+    def test_no_root_is_isolated(self, block_solves, isolations):
+        p = ModelParams(q=5, k=6, theta=0.1)
+        primary = solve_im(p, 2)
+        isolations.clear()
+        derived = solve_im_reciprocal(p, 2, primary)
+        assert block_solves == [] and isolations == []
+        assert _hexes(derived) == _hexes(solve_im(p, 3))
+
+    @pytest.mark.parametrize("fake", [
+        lambda lo, hi: (hi, 2 * hi),        # beside the root: no sign change
+        lambda lo, hi: (lo, lo),            # ends meet off the root: no zero
+    ], ids=["no_sign_change", "empty"])
+    def test_fallback_when_a_bracket_shows_no_sign_change(self, monkeypatch, block_solves, fake):
+        p = ModelParams(q=5, k=6, theta=0.1)
+        primary = solve_im(p, 2)
+        want = _hexes(solve_im(p, 3))
+        recip = solver._reciprocal_bracket
+        monkeypatch.setattr(solver, "_reciprocal_bracket",
+                            lambda x, lo, hi: fake(*recip(x, lo, hi)))
+        block_solves.clear()
+        assert _hexes(solve_im_reciprocal(p, 2, primary)) == want
+        assert block_solves == [3]
+
+    def test_fallback_without_brackets(self, block_solves):
+        p = ModelParams(q=4, k=5, theta=0.05)
+        primary = solve_im(p, 1)
+        for sol in primary:
+            sol.bracket = None
+        block_solves.clear()
+        assert _hexes(solve_im_reciprocal(p, 1, primary)) == _hexes(solve_im(p, 3))
+        assert block_solves[0] == 3
+
+    def test_gates(self, p33):
+        with pytest.raises(ParameterError):
+            solve_im_reciprocal(p33, 3, [])
+        with pytest.raises(HypothesisError):
+            solve_im_reciprocal(ModelParams(q=3, k=2, theta=0.1), 1, [])
 
 
 class TestNearestFloat:

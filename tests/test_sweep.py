@@ -1,14 +1,27 @@
+import json
 import re
+from pathlib import Path
 
 import pytest
 
-from gibbstree import InvariantSetId, ParameterError, SelectorSyntaxError, SetKind
+from gibbstree import (
+    InvariantSetId,
+    ModelParams,
+    ParameterError,
+    SelectorSyntaxError,
+    SetKind,
+    classify,
+    solve_im,
+    solve_im_prime,
+)
+from gibbstree import sweep
 from gibbstree.sweep import (
     CSV_HEADER,
     parse_set_spec,
     read_csv,
     run_sweep,
     solve_set,
+    solve_sets,
     write_bifurcation_svg,
     write_csv,
 )
@@ -48,6 +61,70 @@ class TestParseSetSpec:
     def test_syntax_error_is_a_parameter_error(self):
         # callers that only distinguish usage problems can catch one type
         assert issubclass(SelectorSyntaxError, ParameterError)
+
+
+def _record(solutions, params):
+    """Everything a row shows of each solution, in order, floats as hex."""
+    def hex_or_none(v):
+        return None if v is None else v.hex()
+
+    return [(s.set_id, s.x.hex(), s.y.hex(), hex_or_none(s.z), hex_or_none(s.t),
+             s.residual_full.hex(), classify(s, params)) for s in solutions]
+
+
+class TestSolveSets:
+    """solve_sets derives im:q-m from im:m; the rows must not show it."""
+
+    def test_matches_per_set_solves_at_every_corpus_point(self):
+        records = json.loads(Path(__file__).with_name("root_corpus.json").read_text())
+        points = {(q, k, float.fromhex(theta)) for q, k, theta, _, _ in
+                  (r["case"] for r in records)}
+        assert len(points) == 95
+        for q, k, theta in sorted(points):
+            p = ModelParams(q=q, k=k, theta=theta)
+            ids = parse_set_spec("all", q)
+            for set_id, solutions in zip(ids, solve_sets(p, ids)):
+                if set_id.kind is SetKind.IM:
+                    direct = solve_im(p, set_id.m)
+                else:
+                    direct = solve_im_prime(p, set_id.m)[0]
+                assert _record(solutions, p) == _record(direct, p), (q, k, theta, set_id)
+
+    @pytest.fixture
+    def set_solves(self, monkeypatch):
+        """The label of every solve_set call solve_sets makes from here on."""
+        calls = []
+        solve = sweep.solve_set
+
+        def recording(params, set_id):
+            calls.append(set_id.label())
+            return solve(params, set_id)
+
+        monkeypatch.setattr(sweep, "solve_set", recording)
+        return calls
+
+    def test_each_block_pair_is_solved_once(self, set_solves):
+        p = ModelParams(q=5, k=6, theta=0.1)
+        solve_sets(p, parse_set_spec("all", 5))
+        assert set_solves == ["im:1", "im:2", "imprime:1", "imprime:2"]
+
+    @pytest.mark.parametrize("labels, solved", [
+        (["im:3", "imprime:1", "im:1", "im:3"], ["imprime:1", "im:1"]),
+        (["im:3"], ["im:3"]),                # no partner requested
+        (["im:2", "im:2"], ["im:2"]),        # im:q/2 is its own partner
+    ])
+    def test_request_order_is_kept(self, set_solves, labels, solved):
+        p = ModelParams(q=4, k=5, theta=0.05)
+        ids = [parse_set_spec(label, 4)[0] for label in labels]
+        got = solve_sets(p, ids)
+        assert set_solves == solved
+        assert [_record(s, p) for s in got] == [_record(solve_set(p, i), p) for i in ids]
+
+    def test_invalid_set_raises_as_solve_set_does(self):
+        p = ModelParams(q=3, k=3, theta=0.1)
+        for bad in (InvariantSetId(SetKind.IM, 3), InvariantSetId(SetKind.IM_PRIME, 2)):
+            with pytest.raises(ParameterError):
+                solve_sets(p, [InvariantSetId(SetKind.IM, 1), bad])
 
 
 class TestSweepRecords:
