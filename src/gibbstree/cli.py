@@ -121,8 +121,30 @@ def cmd_sweep(args, parser) -> int:
     return EXIT_OK
 
 
+def _refuse_unprintable_tallies(q: int, total: int | None = None) -> None:
+    """ParameterError if the tallies of count --q pass Python's int-to-str digit limit.
+
+    The total, the largest tally, exceeds 3^q / (q+1): its mirror part is
+    twice the largest coefficient of (1+x+x^2)^q, less 2.  So without the
+    total, a q whose bound passes the limit is refused before any tally is
+    computed; with it, the check is exact.  The limit is left as it is.
+    """
+    limit = sys.get_int_max_str_digits()
+    if not limit or q < 3:
+        return
+    if total is None:
+        too_long = q * math.log10(3) - math.log10(q + 1) >= limit
+    else:
+        too_long = total >= 10 ** limit
+    if too_long:
+        raise ParameterError(f"the tallies for q={q} have more than {limit} digits, "
+                             "past Python's int-to-str limit")
+
+
 def cmd_count(args, parser) -> int:
+    _refuse_unprintable_tallies(args.q)
     report = total_lower_bound(args.q)
+    _refuse_unprintable_tallies(args.q, report.total)
     if args.json:
         print(json.dumps(asdict(report), indent=2))
         return EXIT_OK

@@ -65,18 +65,19 @@ def build_tree(k: int, n: int) -> FiniteTree:
         raise ParameterError(f"k must be a positive integer, got {k!r}")
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ParameterError(f"n must be a nonnegative integer, got {n!r}")
-    # 1 + (k+1)(1 + k + ... + k^(n-1)) vertices, counted before any generation
-    # is made, so a refused depth costs no memory
-    size = 1 + (k + 1) * ((k**n - 1) // (k - 1) if k > 1 else n)
-    if size > _MAX_VERTICES:
-        raise BudgetError(f"depth-{n} ball has {size} vertices, budget {_MAX_VERTICES}")
-    generations = [range(1)]
+    # generation widths k+1, (k+1)k, (k+1)k^2, ... are summed before any
+    # generation is made, and only until they pass the budget: a refused
+    # depth costs no memory, and no count of its ball's size is formed
+    stops = [1]
     width = k + 1
-    for _ in range(n):
-        stop = generations[-1].stop
-        generations.append(range(stop, stop + width))
+    while len(stops) <= n:
+        stops.append(stops[-1] + width)
         width *= k
-    return FiniteTree(k=k, n=n, generations=tuple(generations))
+        if stops[-1] > _MAX_VERTICES:
+            size = stops[-1] if len(stops) > n else f"more than {stops[-1]}"
+            raise BudgetError(f"depth-{n} ball has {size} vertices, budget {_MAX_VERTICES}")
+    generations = tuple(map(range, [0] + stops[:-1], stops))
+    return FiniteTree(k=k, n=n, generations=generations)
 
 
 class _BoundarySum:

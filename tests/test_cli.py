@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from dataclasses import asdict
 from pathlib import Path
 
@@ -156,6 +157,31 @@ class TestCount:
         code, _, _ = run(capsys, "count", "--q", "2")
         assert code == 2
 
+    def test_unprintable_tallies_refused_at_once(self, capsys):
+        # 2^15001 - 2 alone has 4,516 digits, past the default limit of 4,300
+        start = time.perf_counter()
+        code, out, err = run(capsys, "count", "--q", "15000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == "" and "more than" in err and "digits" in err
+
+    @pytest.mark.parametrize("q, code", [
+        (1344, 0),   # the largest q whose total has at most 640 digits
+        (1345, 2),   # refused once the total is known
+        (1348, 2),   # refused by its bound, before any tally is computed
+    ])
+    def test_tallies_at_the_digit_limit(self, q, code):
+        # 640 is the lowest limit Python accepts; a fresh interpreter keeps
+        # this process's limit as it is
+        src = str(Path(gibbstree.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-X", "int_max_str_digits=640", "-m", "gibbstree.cli",
+             "count", "--q", str(q), "--json"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60)
+        assert proc.returncode == code, proc.stderr
+        if code == 0:
+            assert len(str(json.loads(proc.stdout)["total"])) == 640
+
 
 class TestVerify:
     def test_block_solutions_pass(self, capsys):
@@ -202,6 +228,17 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--q", "3", "--k", "3",
                          "--theta", "0.1", "--set", "im:1", "--depth", "11")
         assert code == 3
+
+    @pytest.mark.parametrize("depth", ["20000", "100000000"])
+    def test_huge_depth_is_refused_at_once(self, capsys, depth):
+        # the ball's size would have thousands of digits (or take minutes to
+        # form): the budget is decided without forming it
+        start = time.perf_counter()
+        code, _, err = run(capsys, "verify", "--q", "3", "--k", "3",
+                           "--theta", "0.1", "--depth", depth)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert f"depth-{depth} ball has more than 1062881 vertices" in err
 
     def test_env_budget(self, capsys, monkeypatch):
         monkeypatch.setattr(oracle, "_MAX_ENUM", 50)
