@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import ParameterError, ResidualError
 from .invariants import InvariantSetId, ReducedScalar
 from .model import ModelParams, PeriodTwoField, residual_norm
@@ -72,21 +70,25 @@ def orbit_expand(sol: ReducedScalar, params: ModelParams) -> list[MeasureDescrip
     compatibility map makes this a tautology in exact arithmetic, so a
     failure here means a numerics bug.
     """
+    import numpy as np
+
     base = sol.full_field
     if base is None:
         raise ParameterError("solution has no embedded field; call embed_full first")
     label = classify(sol, params)
     n = params.q - 1
+    # rounding is per component, so a permuted key is the key of the permuted field
+    round_even = np.round(base.even, 12).tolist()
+    round_odd = np.round(base.odd, 12).tolist()
     seen: set[tuple] = set()
     out: list[MeasureDescriptor] = []
     for perm in itertools.permutations(range(n)):
-        idx = list(perm)
-        h_even = base.h_even[idx]
-        h_odd = base.h_odd[idx]
-        key = tuple(np.round(h_even, 12)) + tuple(np.round(h_odd, 12))
+        key = tuple(round_even[i] for i in perm) + tuple(round_odd[i] for i in perm)
         if key in seen:
             continue
         seen.add(key)
+        h_even = [base.even[i] for i in perm]
+        h_odd = [base.odd[i] for i in perm]
         fld = PeriodTwoField(h_even=h_even, h_odd=h_odd)
         res = residual_norm(fld, params)
         if not res <= 10.0 * _CLASSIFY_RESIDUAL_TOL:
@@ -138,11 +140,23 @@ def total_lower_bound(q: int) -> CountReport:
     The block counts alone sum to 2^(q+1) - 2, which doubles as an internal
     cross-check on the per-m table.  q=2 is rejected: with two states the
     model degenerates to the two-spin case handled by other machinery.
+
+    The tallies are those of count_im and count_im_prime, walked up m by
+    exact integer recurrences, C(q, m) = C(q, m-1)(q-m+1)/m and
+    C(q, m)C(q-m, m) = C(q, m-1)C(q-m+1, m-1)(q-2m+2)(q-2m+1)/m^2, where
+    each division leaves no remainder.  So each tally costs one product and
+    one division by a small integer, not two binomials.
     """
     if not isinstance(q, int) or q < 3:
         raise ParameterError(f"q must be an integer >= 3, got {q!r}")
-    per_im = {m: count_im(q, m) for m in range(1, q + 1)}
-    per_im_prime = {m: count_im_prime(q, m) for m in range(1, q // 2 + 1)}
+    per_im, per_im_prime = {}, {}
+    block, mirror = 1, 1   # C(q, m) and C(q, m) C(q-m, m) at m = 0
+    for m in range(1, q + 1):
+        block = block * (q - m + 1) // m
+        per_im[m] = 2 * block
+    for m in range(1, q // 2 + 1):
+        mirror = mirror * (q - 2 * m + 2) * (q - 2 * m + 1) // (m * m)
+        per_im_prime[m] = 2 * mirror
     im_sum = sum(per_im.values())
     if im_sum != 2 ** (q + 1) - 2:
         raise ResidualError(f"block count tally {im_sum} != {2 ** (q + 1) - 2}")

@@ -8,12 +8,13 @@ root sitting on the even sublattice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from dataclasses import FrozenInstanceError, dataclass
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import DomainError, HypothesisError, ParameterError, ShapeError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,8 @@ class ModelParams:
 
 def as_field(values, q: int) -> np.ndarray:
     """Coerce to a finite float vector of length q-1."""
+    import numpy as np
+
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.shape[0] != q - 1:
         raise ShapeError(f"field vector must have length q-1 = {q - 1}, got shape {arr.shape}")
@@ -58,45 +61,93 @@ def as_field(values, q: int) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+def _components(values) -> tuple[float, ...]:
+    """A one-dimensional field vector as a tuple of floats."""
+    if getattr(values, "ndim", 1) != 1:
+        raise ShapeError(f"field vectors must be one-dimensional, got shape {values.shape}")
+    try:
+        return tuple(map(float, values))
+    except TypeError:
+        raise ShapeError(f"field vectors must be sequences of numbers, got {values!r}") from None
+
+
 class PeriodTwoField:
-    """Field pair (h_even, h_odd) applied by generation parity; root parity is even."""
+    """Field pair (h_even, h_odd) applied by generation parity; root parity is even.
 
-    h_even: np.ndarray
-    h_odd: np.ndarray
+    The components are held as tuples of floats, even and odd.  h_even and
+    h_odd are the same vectors as read-only float64 ndarrays, built on first
+    access, so a field that is only solved, checked and written never
+    imports numpy.  Fields are immutable, and compare and hash by their
+    components.
+    """
 
-    def __post_init__(self) -> None:
-        h_even = np.array(self.h_even, dtype=float)
-        h_odd = np.array(self.h_odd, dtype=float)
-        if h_even.ndim != 1 or h_odd.ndim != 1 or h_even.shape != h_odd.shape:
+    __slots__ = ("even", "odd", "_arrays")
+
+    def __init__(self, h_even, h_odd) -> None:
+        even, odd = _components(h_even), _components(h_odd)
+        if len(even) != len(odd):
             raise ShapeError(
-                f"h_even and h_odd must be equal-length vectors, got shapes "
-                f"{h_even.shape} and {h_odd.shape}"
+                f"h_even and h_odd must be equal-length vectors, got lengths "
+                f"{len(even)} and {len(odd)}"
             )
-        if h_even.shape[0] < 1:
+        if not even:
             raise ShapeError("field vectors must have at least one component (q >= 2)")
-        if not (np.all(np.isfinite(h_even)) and np.all(np.isfinite(h_odd))):
+        if not all(map(math.isfinite, even + odd)):
             raise DomainError("field vectors have non-finite entries")
-        h_even.flags.writeable = False
-        h_odd.flags.writeable = False
-        object.__setattr__(self, "h_even", h_even)
-        object.__setattr__(self, "h_odd", h_odd)
+        object.__setattr__(self, "even", even)
+        object.__setattr__(self, "odd", odd)
+        object.__setattr__(self, "_arrays", None)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PeriodTwoField):
+            return NotImplemented
+        return self.even == other.even and self.odd == other.odd
+
+    def __hash__(self) -> int:
+        return hash((self.even, self.odd))
+
+    def __repr__(self) -> str:
+        return f"PeriodTwoField(h_even={list(self.even)!r}, h_odd={list(self.odd)!r})"
+
+    def _read_only_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._arrays is None:
+            import numpy as np
+
+            arrays = np.array(self.even), np.array(self.odd)
+            for arr in arrays:
+                arr.flags.writeable = False
+            object.__setattr__(self, "_arrays", arrays)
+        return self._arrays
+
+    @property
+    def h_even(self) -> np.ndarray:
+        return self._read_only_arrays()[0]
+
+    @property
+    def h_odd(self) -> np.ndarray:
+        return self._read_only_arrays()[1]
 
     @classmethod
     def zero(cls, q: int) -> "PeriodTwoField":
-        return cls(np.zeros(q - 1), np.zeros(q - 1))
+        return cls((0.0,) * (q - 1), (0.0,) * (q - 1))
 
     @property
     def q(self) -> int:
-        return self.h_even.shape[0] + 1
+        return len(self.even) + 1
 
     def swapped(self) -> "PeriodTwoField":
         """The same field with parities exchanged."""
-        return PeriodTwoField(self.h_odd, self.h_even)
+        return PeriodTwoField(self.odd, self.even)
 
 
-def _compat_floats(h: list[float], theta: float) -> list[float]:
-    """compat_map of a finite field vector given as a list, on plain floats."""
+def _compat_floats(h: Sequence[float], theta: float) -> list[float]:
+    """compat_map of a finite field vector given as a sequence of floats, on plain floats."""
     shift = max(max(h), 0.0)
     ex = [math.exp(v - shift) for v in h]
     e0 = math.exp(-shift)  # the pinned component exp(0), shifted
@@ -122,6 +173,8 @@ def compat_map(h, params: ModelParams) -> np.ndarray:
     math.log (a vector of length q-1 is too short for numpy to pay), and
     only the result is an ndarray.
     """
+    import numpy as np
+
     return np.array(_compat_floats(as_field(h, params.q).tolist(), params.theta))
 
 
@@ -131,7 +184,7 @@ def _residual_floats(field: PeriodTwoField, params: ModelParams,
     if field.q != params.q:
         raise ShapeError(f"field has q={field.q}, params have q={params.q}")
     k, theta = params.k, params.theta
-    h_even, h_odd = field.h_even.tolist(), field.h_odd.tolist()
+    h_even, h_odd = field.even, field.odd
     return ([h - k * f for h, f in zip(h_even, _compat_floats(h_odd, theta))],
             [h - k * f for h, f in zip(h_odd, _compat_floats(h_even, theta))])
 
@@ -143,6 +196,8 @@ def period2_residual(field: PeriodTwoField, params: ModelParams) -> tuple[np.nda
     of the tree recursion; a translation-invariant solution is the special
     case h_even = h_odd.
     """
+    import numpy as np
+
     r_even, r_odd = _residual_floats(field, params)
     return np.array(r_even), np.array(r_odd)
 
@@ -153,8 +208,14 @@ def residual_norm(field: PeriodTwoField, params: ModelParams) -> float:
     return max(map(abs, r_even + r_odd))
 
 
+def _is_numpy_integer(s) -> bool:
+    import numpy as np
+
+    return isinstance(s, np.integer)
+
+
 def _check_spin(s, q: int) -> int:
-    if not isinstance(s, (int, np.integer)) or isinstance(s, bool):
+    if isinstance(s, bool) or not (isinstance(s, int) or _is_numpy_integer(s)):
         raise DomainError(f"spin values must be integers, got {s!r}")
     if not 1 <= s <= q:
         raise DomainError(f"spin {s} outside {{1..{q}}}")
@@ -197,6 +258,6 @@ def finite_volume_log_weight(config: Sequence[int] | Mapping[int, int],
     for v, d in boundary:
         s = _check_spin(config[v], q)
         if s < q:
-            vec = field.h_even if d % 2 == 0 else field.h_odd
-            parts.append(float(vec[s - 1]))
+            vec = field.even if d % 2 == 0 else field.odd
+            parts.append(vec[s - 1])
     return mono * math.log(params.theta) + math.fsum(parts)

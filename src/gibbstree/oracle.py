@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import BudgetError, ParameterError
 from .model import (
@@ -30,6 +29,9 @@ from .model import (
     PeriodTwoField,
     finite_volume_log_weight,  # noqa: F401  unused; perfbench/tracing.py counts its calls here
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _MAX_VERTICES = 1_000_000
 _MAX_ENUM = 10_000_000
@@ -96,6 +98,8 @@ class _BoundarySum:
     """
 
     def __init__(self, tree: FiniteTree, params: ModelParams, rows: np.ndarray) -> None:
+        import numpy as np
+
         self.n = tree.n
         self.theta = params.theta
         self.log_theta = math.log(params.theta)
@@ -110,8 +114,10 @@ class _BoundarySum:
 
     def log_sums(self, field: PeriodTwoField) -> list[float]:
         """Per row, log sum over all boundary spin assignments of the full volume weight."""
-        h = field.h_even if self.n % 2 == 0 else field.h_odd
-        h_full = np.append(h, 0.0)
+        import numpy as np
+
+        h = field.even if self.n % 2 == 0 else field.odd
+        h_full = np.array(h + (0.0,))
         shift = float(h_full.max())
         ex = np.exp(h_full - shift)
         # row s' sums theta*e^{h_s'} and e^{h_s} over s != s': positive terms only
@@ -122,10 +128,12 @@ class _BoundarySum:
 
     def inner_log_weights(self, field: PeriodTwoField) -> list[float]:
         """Per row, model.finite_volume_log_weight of the depth-(n-1) ball."""
-        h = field.h_even if (self.n - 1) % 2 == 0 else field.h_odd
+        import numpy as np
+
+        h = field.even if (self.n - 1) % 2 == 0 else field.odd
         # fsum is exactly rounded, so the zero terms of spin q change no bit;
         # rows become Python floats one at a time, which keeps deep balls small
-        h_full = np.append(h, 0.0)
+        h_full = np.array(h + (0.0,))
         return [m * self.log_theta + math.fsum(row.tolist())
                 for m, row in zip(self.mono, h_full[self.inner_index])]
 
@@ -145,6 +153,8 @@ def _draw_rows(q: int, n_inner: int, seed: int) -> np.ndarray:
     One draw of _N_PAIRS rows gives the same spins as _N_PAIRS draws of one
     row each.  Spins are stored in the smallest integer type that holds q.
     """
+    import numpy as np
+
     draws = np.random.default_rng(seed).integers(1, q + 1, size=(_N_PAIRS, n_inner))
     rows = np.ones((_N_PAIRS + 1, n_inner), dtype=np.min_scalar_type(q))
     rows[1:] = draws

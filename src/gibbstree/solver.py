@@ -39,8 +39,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import ConvergenceError, EvaluationError, ParameterError
 from .invariants import (
     InvariantSetId,
@@ -102,6 +100,8 @@ def scan_sign_changes(fn, lo: float, hi: float, config: SolverConfig | None = No
     "uniform" places them uniformly in x.  A node where fn is exactly zero
     produces no bracket, so known roots must be seeded by the caller.
     """
+    import numpy as np
+
     config = config or SolverConfig()
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ParameterError(f"need finite lo < hi, got [{lo}, {hi}]")

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, fields
 from operator import attrgetter
 
-import numpy as np
-
 from .catalog import classify
 from .errors import ParameterError, SelectorSyntaxError
 from .invariants import InvariantSetId, ReducedScalar, SetKind
@@ -128,12 +126,30 @@ def rows_for(params: ModelParams, set_ids: list[InvariantSetId]) -> list[SweepRo
     return rows
 
 
+def _theta_grid(start: float, stop: float, steps: int) -> list[float]:
+    """numpy.linspace(start, stop, steps), bit for bit, as a list of floats.
+
+    Point i is start + i*step with step = (stop-start)/(steps-1), and the
+    last point is stop itself.  Where step underflows to zero, point i is
+    start + (i/(steps-1))*(stop-start), as numpy computes it.
+    """
+    if steps == 1:
+        return [start]
+    div = steps - 1
+    delta = stop - start
+    step = delta / div
+    if step == 0.0:
+        return [i / div * delta + start for i in range(div)] + [stop]
+    return [i * step + start for i in range(div)] + [stop]
+
+
 def run_sweep(q: int, k: int, theta_min: float, theta_max: float, steps: int,
               set_ids: list[InvariantSetId]) -> list[SweepRow]:
     """Rows of every requested set at `steps` equally spaced theta values.
 
-    Rows run theta by theta, set by set within one theta, and ascending in
-    x within one set.
+    The theta values are those of numpy.linspace(theta_min, theta_max,
+    steps).  Rows run theta by theta, set by set within one theta, and
+    ascending in x within one set.
     """
     if not isinstance(steps, int) or steps < 1:
         raise ParameterError(f"steps must be a positive integer, got {steps!r}")
@@ -142,8 +158,8 @@ def run_sweep(q: int, k: int, theta_min: float, theta_max: float, steps: int,
             f"need 0 < theta_min <= theta_max < 1, got [{theta_min}, {theta_max}]"
         )
     rows: list[SweepRow] = []
-    for theta in np.linspace(theta_min, theta_max, steps):
-        rows.extend(rows_for(ModelParams(q=q, k=k, theta=float(theta)), set_ids))
+    for theta in _theta_grid(theta_min, theta_max, steps):
+        rows.extend(rows_for(ModelParams(q=q, k=k, theta=theta), set_ids))
     return rows
 
 

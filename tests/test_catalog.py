@@ -176,6 +176,13 @@ class TestTotalLowerBound:
             report = total_lower_bound(q)
             assert sum(report.per_im.values()) == 2 ** (q + 1) - 2
 
+    def test_tallies_match_the_binomial_formulas(self):
+        for q in range(3, 301):
+            report = total_lower_bound(q)
+            assert report.per_im == {m: count_im(q, m) for m in range(1, q + 1)}
+            assert report.per_im_prime == {m: count_im_prime(q, m)
+                                           for m in range(1, q // 2 + 1)}
+
     def test_report_structure(self):
         report = total_lower_bound(4)
         assert report.q == 4

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -152,6 +153,18 @@ class TestCount:
         data = json.loads(out)
         assert data["total"] == 66
         assert data["per_im"]["1"] == 8
+
+    @pytest.mark.parametrize("q, digest", [
+        (3, "a05e0bac988c24c5c581024c7b216181a3b24beee4989e03c8854293fcf5fbe0"),
+        (10, "e2c40e0be9ea38066c9fde4fb0b10316966f21690edfcff6c5a3bbdf4189fabe"),
+        (100, "ed298034e3c721c6d75407cdc7e1ab9bf347712cea897980e69d2996a88f96d7"),
+        (1000, "9e5cd10e0b6e56b06c05b917ee9b8cce7e97a2cddadfe2c851a5516bea5f7f21"),
+    ])
+    def test_json_bytes_are_frozen(self, capsys, q, digest):
+        # sha256 of the output when each tally was a product of two math.comb calls
+        code, out, _ = run(capsys, "count", "--q", str(q), "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_two_states_rejected(self, capsys):
         code, _, _ = run(capsys, "count", "--q", "2")
@@ -326,9 +339,20 @@ class TestUsageErrors:
         assert run(capsys, "solve", "--help")[0] == 0
 
 
+def run_fresh(script: str, tmp_path) -> subprocess.CompletedProcess:
+    """Run script in a fresh interpreter, so no other test has imported a module already.
+
+    The script gets tmp_path as sys.argv[1].
+    """
+    src = str(Path(gibbstree.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    return subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 class TestRuntimeDependencies:
     def test_solve_and_sweep_do_not_import_mpmath(self, tmp_path):
-        # a fresh interpreter, so no other test has imported mpmath already
         script = (
             "import sys\n"
             "from gibbstree.cli import main\n"
@@ -338,9 +362,27 @@ class TestRuntimeDependencies:
             " '--svg', sys.argv[1] + '/s.svg']) == 0\n"
             "sys.exit('mpmath' in sys.modules)\n"
         )
-        src = str(Path(gibbstree.__file__).resolve().parent.parent)
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
-        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
-                              capture_output=True, text=True, timeout=120)
+        proc = run_fresh(script, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_solve_sweep_count_and_plot_do_not_import_numpy(self, tmp_path):
+        # verify draws its configurations with numpy's seeded generator: it
+        # comes last, and must still pass in the process that skipped numpy
+        script = (
+            "import sys\n"
+            "from gibbstree.cli import main\n"
+            "d = sys.argv[1]\n"
+            "assert main(['solve', '--q', '4', '--k', '5', '--theta', '0.2', '--set', 'all',"
+            " '--json']) == 0\n"
+            "assert main(['sweep', '--q', '3', '--k', '4', '--theta-min', '0.1', '--theta-max',"
+            " '0.6', '--steps', '3', '--set', 'all', '--out', d + '/s.csv',"
+            " '--svg', d + '/s.svg']) == 0\n"
+            "assert main(['count', '--q', '7', '--json']) == 0\n"
+            "assert main(['plot', '--csv', d + '/s.csv', '--out', d + '/p.svg']) == 0\n"
+            "if 'numpy' in sys.modules:\n"
+            "    sys.exit('numpy was imported')\n"
+            "assert main(['verify', '--q', '3', '--k', '3', '--theta', '0.1', '--set', 'all']) == 0\n"
+            "assert 'numpy' in sys.modules\n"
+        )
+        proc = run_fresh(script, tmp_path)
         assert proc.returncode == 0, proc.stderr

@@ -13,6 +13,7 @@ from gibbstree import (
     PeriodTwoField,
     ShapeError,
     compat_map,
+    solve_im,
 )
 from gibbstree.model import (
     as_field,
@@ -82,11 +83,49 @@ class TestFieldTypes:
             PeriodTwoField(h_even=np.array([1.0]), h_odd=np.array([1.0, 2.0]))
         with pytest.raises(DomainError):
             PeriodTwoField(h_even=np.array([np.nan]), h_odd=np.array([1.0]))
+        with pytest.raises(ShapeError):
+            PeriodTwoField(h_even=np.zeros((2, 1)), h_odd=np.zeros((2, 1)))
+        with pytest.raises(ShapeError):
+            PeriodTwoField(h_even=[[1.0], [2.0]], h_odd=[1.0, 2.0])
+        with pytest.raises(ShapeError):
+            PeriodTwoField(h_even=1.0, h_odd=2.0)
+        with pytest.raises(ShapeError):
+            PeriodTwoField(h_even=[], h_odd=[])
 
     def test_vectors_are_read_only(self):
         f = PeriodTwoField.zero(3)
         with pytest.raises(ValueError):
             f.h_even[0] = 1.0
+
+    def test_arrays_are_built_once_from_the_components(self):
+        f = PeriodTwoField(h_even=[0.5, -1.0], h_odd=(1, 2))
+        assert f.even == (0.5, -1.0) and f.odd == (1.0, 2.0)
+        assert all(type(v) is float for v in f.even + f.odd)
+        assert f.h_even is f.h_even and f.h_odd is f.h_odd
+        assert f.h_even.dtype == np.float64 and f.h_even.tolist() == [0.5, -1.0]
+        assert f.h_odd.tolist() == [1.0, 2.0]
+
+    def test_fields_are_frozen(self):
+        f = PeriodTwoField.zero(3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.even = (1.0, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del f.odd
+        assert f.even == (0.0, 0.0) and f.odd == (0.0, 0.0)
+
+    def test_equality_and_hash_follow_the_components(self):
+        # q = 4, so each vector has three components
+        p = ModelParams(q=4, k=5, theta=0.1)
+        first, again = solve_im(p, 1)[0], solve_im(p, 1)[0]
+        assert first == again
+        a, b = first.full_field, again.full_field
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != a.swapped() and len({a, b, a.swapped()}) == 2
+        assert a.swapped().swapped() == a
+        assert PeriodTwoField(np.array([0.5, -1.0]), [1.0, 2.0]) \
+            == PeriodTwoField((0.5, -1.0), np.array([1.0, 2.0]))
+        assert PeriodTwoField.zero(3) != PeriodTwoField.zero(4)
+        assert PeriodTwoField.zero(3) != (0.0, 0.0)
 
 
 class TestCompatMap:

@@ -1,7 +1,9 @@
 import json
+import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gibbstree import (
@@ -183,6 +185,38 @@ class TestSweepRecords:
             unit = [r for r in rows if r.x == 1.0]
             assert len(unit) == 7 * len(ids)
             assert all(r.y == 1.0 and r.classification == "TI" for r in unit)
+
+
+class TestThetaGrid:
+    """run_sweep visits the theta values of numpy.linspace, bit for bit."""
+
+    @staticmethod
+    def thetas(monkeypatch, lo, hi, steps):
+        monkeypatch.setattr(sweep, "rows_for", lambda params, set_ids: [params.theta])
+        return run_sweep(3, 3, lo, hi, steps, [InvariantSetId(SetKind.IM, 1)])
+
+    def test_matches_linspace(self, monkeypatch):
+        rng = np.random.default_rng(20)
+        tiny = 5e-324
+        cases = [(0.1, 0.1, 1), (0.1, 0.1, 2), (0.1, 0.1, 9), (0.1, 0.3, 1),
+                 (0.1, 0.3, 2), (0.05, 0.45, 81),
+                 # a step that underflows to zero, which numpy computes apart
+                 (tiny, 2 * tiny, 6), (tiny, 3 * tiny, 9), (2 * tiny, 7 * tiny, 40)]
+        for _ in range(500):
+            lo, hi = sorted(rng.uniform(0.0, 1.0, 2).tolist())
+            lo = max(lo, tiny)
+            steps = int(rng.integers(1, 30))
+            cases.append((lo, hi, steps))
+            # ends one to a few ulps apart
+            near = lo
+            for _ in range(int(rng.integers(1, 4))):
+                near = math.nextafter(near, 1.0)
+            cases.append((lo, near, steps))
+        for lo, hi, steps in cases:
+            got = self.thetas(monkeypatch, lo, hi, steps)
+            want = np.linspace(lo, hi, steps).tolist()
+            assert [t.hex() for t in got] == [t.hex() for t in want], (lo, hi, steps)
+            assert all(type(t) is float for t in got)
 
 
 class TestCsv:
