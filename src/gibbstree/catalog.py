@@ -59,6 +59,16 @@ def classify(sol: ReducedScalar, params: ModelParams) -> Classification:
     return Classification.TRANSLATION_INVARIANT
 
 
+def _round12(v: float) -> float:
+    """v rounded to 12 decimals as NumPy's round(v, 12) does, up to the sign of zero.
+
+    Both scale by 1e12, round half to even and scale back; a scaled value
+    that overflows stays infinite, as in NumPy.
+    """
+    scaled = v * 1e12
+    return float(round(scaled)) / 1e12 if math.isfinite(scaled) else scaled
+
+
 def orbit_expand(sol: ReducedScalar, params: ModelParams) -> list[MeasureDescriptor]:
     """All distinct fields obtained by permuting the free components.
 
@@ -70,16 +80,14 @@ def orbit_expand(sol: ReducedScalar, params: ModelParams) -> list[MeasureDescrip
     compatibility map makes this a tautology in exact arithmetic, so a
     failure here means a numerics bug.
     """
-    import numpy as np
-
     base = sol.full_field
     if base is None:
         raise ParameterError("solution has no embedded field; call embed_full first")
     label = classify(sol, params)
     n = params.q - 1
     # rounding is per component, so a permuted key is the key of the permuted field
-    round_even = np.round(base.even, 12).tolist()
-    round_odd = np.round(base.odd, 12).tolist()
+    round_even = [_round12(v) for v in base.even]
+    round_odd = [_round12(v) for v in base.odd]
     seen: set[tuple] = set()
     out: list[MeasureDescriptor] = []
     for perm in itertools.permutations(range(n)):

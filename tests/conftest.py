@@ -1,3 +1,4 @@
+import itertools
 import math
 import struct
 from fractions import Fraction
@@ -184,7 +185,7 @@ def boundary_log_sum_by_enumeration(tree, params: ModelParams, field,
                                     inner: np.ndarray) -> float:
     """log of the depth-n ball's weight summed over every boundary assignment.
 
-    An independent cross-check of the oracle's factorized boundary sum: lists
+    An independent cross-check of boundary_log_sum_by_factors: lists
     all q^b boundary spin assignments, adds the monochromatic edges and the
     parity-appropriate field of each, and sums the weights after a max shift.
     The ball comes from explicit_ball, not from the tree's id arithmetic.
@@ -205,3 +206,71 @@ def boundary_log_sum_by_enumeration(tree, params: ModelParams, field,
     logw = (inner_mono + cross_mono) * math.log(params.theta) + boundary_term
     shift = float(logw.max())
     return shift + math.log(math.fsum(np.exp(logw - shift).tolist()))
+
+
+def _log_factors(n: int, params: ModelParams, field) -> list[float]:
+    """log sum_s theta^[s = t] exp(h_s) for each parent spin t = 1..q, each sum in full."""
+    q, theta = params.q, params.theta
+    h = list(field.even if n % 2 == 0 else field.odd) + [0.0]
+    shift = max(h)
+    return [shift + math.log(math.fsum((theta if s == t else 1.0) * math.exp(h[s - 1] - shift)
+                                       for s in range(1, q + 1)))
+            for t in range(1, q + 1)]
+
+
+def _boundary_log_sum(ball, n: int, log_theta: float, factors: list[float], inner) -> float:
+    parent, depth, edges = ball
+    inner_mono = sum(1 for u, v in edges if depth[v] < n and inner[u] == inner[v])
+    return inner_mono * log_theta + math.fsum(factors[inner[parent[v]] - 1]
+                                              for v, d in enumerate(depth) if d == n)
+
+
+def boundary_log_sum_by_factors(k: int, n: int, params: ModelParams, field, inner) -> float:
+    """log of the depth-n ball's weight summed over every boundary assignment, factor by factor.
+
+    Each boundary vertex is a leaf, so given the interior spins the sum over
+    the boundary is a product of one factor per boundary vertex,
+    sum_s theta^[s = parent's spin] exp(h_s).  Checked against
+    boundary_log_sum_by_enumeration, which lists every boundary assignment.
+    The ball comes from explicit_ball.
+    """
+    return _boundary_log_sum(explicit_ball(k, n), n, math.log(params.theta),
+                             _log_factors(n, params, field), inner)
+
+
+def all_configurations(k: int, n: int, q: int):
+    """Every spin assignment of the depth-(n-1) ball's vertices, as tuples in id order."""
+    n_inner = len(explicit_ball(k, n - 1)[0])
+    return itertools.product(range(1, q + 1), repeat=n_inner)
+
+
+def gaps_by_enumeration(k: int, n: int, params: ModelParams, field, configs) -> list[float]:
+    """Per interior configuration, log(boundary sum of the depth-n weight) - log(inner weight).
+
+    The boundary sum is boundary_log_sum_by_factors'; the inner weight is
+    model.finite_volume_log_weight on the depth-(n-1) ball of inner_ball.
+    The brute-force reference of the oracle's closed form.
+    """
+    from gibbstree.model import finite_volume_log_weight
+
+    ball = explicit_ball(k, n)
+    log_theta = math.log(params.theta)
+    factors = _log_factors(n, params, field)
+    inner_edges, inner_boundary = inner_ball(k, n)
+    return [_boundary_log_sum(ball, n, log_theta, factors, c)
+            - finite_volume_log_weight(c, inner_edges, inner_boundary, field, params)
+            for c in configs]
+
+
+def relative_spread_by_enumeration(k: int, n: int, params: ModelParams, field) -> float:
+    """check_consistency's error, from the gaps of every interior configuration.
+
+    From depth 2 on the field and its sublattice swap are both checked, and
+    the larger error is returned, as the oracle does.
+    """
+    orders = (field,) if n == 1 else (field, field.swapped())
+    worst = 0.0
+    for f in orders:
+        gaps = gaps_by_enumeration(k, n, params, f, all_configurations(k, n, params.q))
+        worst = max(worst, (max(gaps) - min(gaps)) / max(1.0, max(map(abs, gaps))))
+    return worst

@@ -19,7 +19,7 @@ from gibbstree import (
     solve_im_prime,
     total_lower_bound,
 )
-from gibbstree.catalog import count_im, count_im_prime
+from gibbstree.catalog import _round12, count_im, count_im_prime
 
 
 class TestClassify:
@@ -111,6 +111,21 @@ class TestOrbitExpand:
         p = ModelParams(q=4, k=5, theta=0.1)
         orbit = orbit_expand(solve_im(p, 1)[0], p)
         assert len(orbit) == len(images)
+
+    def test_keys_round_as_numpy_does(self):
+        # orbit keys are rounded without numpy; they equal numpy.round's,
+        # up to the sign of zero, which a set key does not see
+        rng = np.random.default_rng(2026)
+        values = np.concatenate([
+            rng.normal(scale=10.0, size=20_000),
+            rng.normal(size=20_000) * 10.0 ** rng.uniform(-16, 290, size=20_000),
+            np.round(rng.normal(size=20_000), 12) + rng.choice([-1, 1], 20_000) * 5e-13,
+            [0.0, -0.0, 5e-13, -5e-13, 1.5e-12, 2.5e-12, 1e300, -1e300],
+        ])
+        with np.errstate(over="ignore"):
+            expected = np.round(values, 12).tolist()
+        got = [_round12(v) for v in values.tolist()]
+        assert got == expected
 
 
 class TestCounts:

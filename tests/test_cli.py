@@ -236,11 +236,16 @@ class TestVerify:
         assert "FAIL" not in out
 
     def test_depth_budget(self, capsys):
-        # depth 11: 21 configurations x 236,196 boundary vertices x 3 spins
-        # is about 1.49e7 terms, over the default budget of 1e7
-        code, _, _ = run(capsys, "verify", "--q", "3", "--k", "3",
-                         "--theta", "0.1", "--set", "im:1", "--depth", "11")
+        # the check lists no configuration, so depth 11 (354,293 vertices)
+        # passes, and only the ball's vertex budget refuses depth 12
+        code, out, _ = run(capsys, "verify", "--q", "3", "--k", "3",
+                           "--theta", "0.1", "--set", "im:1", "--depth", "11")
+        assert code == 0
+        assert out.count("PASS") == 3
+        code, _, err = run(capsys, "verify", "--q", "3", "--k", "3",
+                           "--theta", "0.1", "--set", "im:1", "--depth", "12")
         assert code == 3
+        assert "depth-12 ball has 1062881 vertices" in err
 
     @pytest.mark.parametrize("depth", ["20000", "100000000"])
     def test_huge_depth_is_refused_at_once(self, capsys, depth):
@@ -254,10 +259,17 @@ class TestVerify:
         assert f"depth-{depth} ball has more than 1062881 vertices" in err
 
     def test_env_budget(self, capsys, monkeypatch):
-        monkeypatch.setattr(oracle, "_MAX_ENUM", 50)
+        monkeypatch.setattr(oracle, "_MAX_VERTICES", 16)
         code, _, _ = run(capsys, "verify", "--q", "3", "--k", "3",
                          "--theta", "0.1", "--set", "im:1", "--depth", "2")
         assert code == 3
+
+    def test_seed_is_accepted_and_selects_nothing(self, capsys):
+        argv = ("verify", "--q", "3", "--k", "3", "--theta", "0.1", "--set", "all")
+        plain = run(capsys, *argv)
+        assert plain == run(capsys, *argv, "--seed", "7")
+        assert plain[0] == 0
+        assert plain[1].count("all configurations, depth 2") == 9
 
     @pytest.mark.parametrize("flag,value", [
         ("--seed", "-1"), ("--tol", "nan"), ("--tol", "-1"),
@@ -366,8 +378,8 @@ class TestRuntimeDependencies:
         assert proc.returncode == 0, proc.stderr
 
     def test_solve_sweep_count_and_plot_do_not_import_numpy(self, tmp_path):
-        # verify draws its configurations with numpy's seeded generator: it
-        # comes last, and must still pass in the process that skipped numpy
+        # verify comes last, so a check that needed numpy there could not
+        # hide behind an earlier command's import
         script = (
             "import sys\n"
             "from gibbstree.cli import main\n"
@@ -382,7 +394,7 @@ class TestRuntimeDependencies:
             "if 'numpy' in sys.modules:\n"
             "    sys.exit('numpy was imported')\n"
             "assert main(['verify', '--q', '3', '--k', '3', '--theta', '0.1', '--set', 'all']) == 0\n"
-            "assert 'numpy' in sys.modules\n"
+            "assert 'numpy' not in sys.modules\n"
         )
         proc = run_fresh(script, tmp_path)
         assert proc.returncode == 0, proc.stderr

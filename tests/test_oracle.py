@@ -18,10 +18,15 @@ from gibbstree import (
     two_step_slope_at_one,
 )
 from gibbstree import oracle
-from gibbstree.model import finite_volume_log_weight, monochromatic_edges, residual_norm
-from gibbstree.oracle import _BoundarySum
+from gibbstree.model import residual_norm
 
-from conftest import boundary_log_sum_by_enumeration, explicit_ball, inner_ball
+from conftest import (
+    boundary_log_sum_by_enumeration,
+    boundary_log_sum_by_factors,
+    explicit_ball,
+    gaps_by_enumeration,
+    relative_spread_by_enumeration,
+)
 
 
 # every ball up to depth 6 of order up to 6 fits the vertex budget
@@ -82,12 +87,13 @@ class TestBuildTree:
             build_tree(3, 20)
 
     def test_budget_edges_at_order_three(self, p33):
+        # the check lists no configuration, so only the ball's vertex budget
+        # bounds the depth: 11 is the deepest ball of order three within it
         field = solve_im(p33, 1)[0].full_field
         assert check_consistency(build_tree(3, 10), p33, field).passed
         tree = build_tree(3, 11)
         assert tree.n_vertices == 354_293
-        with pytest.raises(BudgetError, match="boundary sum needs"):
-            check_consistency(tree, p33, field)
+        assert check_consistency(tree, p33, field).passed
         with pytest.raises(BudgetError, match="1062881 vertices"):
             build_tree(3, 12)
 
@@ -122,7 +128,7 @@ class TestCheckConsistency:
         report = check_consistency(tree, p33, sol.full_field, tol=1e-6)
         assert report.passed
         assert report.n == 2
-        assert report.pairs_checked == 21
+        assert report.pairs_checked == 3
 
     def test_non_constant_field_fails_depth_one(self, p33):
         # at depth one the root's k+1 successors all sit on the boundary,
@@ -160,12 +166,12 @@ class TestCheckConsistency:
             check_consistency(build_tree(4, 2), p33, sol.full_field)
 
     def test_budget_env_override(self, p33, monkeypatch):
-        tree = build_tree(3, 2)
-        monkeypatch.setattr(oracle, "_MAX_ENUM", 100)
-        with pytest.raises(BudgetError):
-            check_consistency(tree, p33, PeriodTwoField.zero(3))
-        monkeypatch.setattr(oracle, "_MAX_ENUM", 1_000_000)
-        assert check_consistency(tree, p33, PeriodTwoField.zero(3)).passed
+        # the vertex budget is read when the ball is built, so it can be moved
+        monkeypatch.setattr(oracle, "_MAX_VERTICES", 16)
+        with pytest.raises(BudgetError, match="17 vertices, budget 16"):
+            build_tree(3, 2)
+        monkeypatch.setattr(oracle, "_MAX_VERTICES", 17)
+        assert check_consistency(build_tree(3, 2), p33, PeriodTwoField.zero(3)).passed
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_half_solution_fails_in_both_orders(self, p33, n):
@@ -178,7 +184,7 @@ class TestCheckConsistency:
         for field in (half, half.swapped()):
             report = check_consistency(tree, p33, field, tol=1e-8)
             assert not report.passed, (n, report.max_relative_error)
-            assert report.pairs_checked == 21
+            assert report.pairs_checked == 3
 
     def test_solutions_pass_in_both_orders(self, p33):
         block = solve_im(p33, 1)
@@ -191,11 +197,12 @@ class TestCheckConsistency:
                     assert report.passed, (n, sol.x, report.max_relative_error)
 
     def test_deterministic(self, p33):
+        # nothing is drawn: the same inputs give the same report, bit for bit
         tree = build_tree(3, 2)
         sol = solve_im(p33, 1)[0]
-        a = check_consistency(tree, p33, sol.full_field, seed=7)
-        b = check_consistency(tree, p33, sol.full_field, seed=7)
-        assert a.max_relative_error == b.max_relative_error
+        a = check_consistency(tree, p33, sol.full_field)
+        b = check_consistency(tree, p33, sol.full_field)
+        assert a == b
 
 
 def _test_fields(params: ModelParams, rng: np.random.Generator) -> list[PeriodTwoField]:
@@ -208,21 +215,42 @@ def _test_fields(params: ModelParams, rng: np.random.Generator) -> list[PeriodTw
                            sols[-1].h_odd + rng.normal(size=q - 1))]
 
 
-def _brute_force_error(tree, params, field, n_pairs, seed):
-    """check_consistency's relative spread with the boundary summed by enumeration."""
+def _sampled_rows(q: int, n_inner: int, seed: int) -> list[list[int]]:
+    """The all-ones configuration and 20 seeded ones, drawn one row at a time.
+
+    The configurations a sampled check of 21 rows would compare.
+    """
     rng = np.random.default_rng(seed)
-    n_inner = tree.n_vertices - len(tree.boundary())
-    configs = [np.ones(n_inner, dtype=np.int64)]
-    configs += [rng.integers(1, params.q + 1, size=n_inner) for _ in range(n_pairs)]
-    inner_edges, inner_boundary = inner_ball(tree.k, tree.n)
-    gaps = [boundary_log_sum_by_enumeration(tree, params, field, inner)
-            - finite_volume_log_weight({v: int(s) for v, s in enumerate(inner)},
-                                       inner_edges, inner_boundary, field, params)
-            for inner in configs]
-    return (max(gaps) - min(gaps)) / max(1.0, max(abs(g) for g in gaps))
+    return [[1] * n_inner] + [rng.integers(1, q + 1, size=n_inner).tolist()
+                              for _ in range(20)]
+
+
+class TestExhaustiveEnumeration:
+    """The closed form against the gap of every interior configuration, listed one by one."""
+
+    # 3, 3^5 and 4^6 configurations
+    @pytest.mark.parametrize("q, k, n", [(3, 3, 1), (3, 3, 2), (4, 4, 2)])
+    def test_error_equals_spread_over_every_configuration(self, q, k, n):
+        rng = np.random.default_rng(10 * q + n)
+        p = ModelParams(q=q, k=k, theta=0.1)
+        tree = build_tree(k, n)
+        sols = [s.full_field for s in solve_im(p, 1)]
+        fields = [*sols,
+                  PeriodTwoField(sols[0].h_even + 0.1, sols[0].h_odd),
+                  PeriodTwoField(sols[-1].h_even + rng.normal(size=q - 1),
+                                 sols[-1].h_odd + rng.normal(size=q - 1))]
+        for field in fields:
+            report = check_consistency(tree, p, field, tol=1e-8)
+            expected = relative_spread_by_enumeration(k, n, p, field)
+            # solutions read roundoff on both sides, so those compare absolutely
+            assert report.max_relative_error == pytest.approx(expected, rel=1e-12, abs=1e-13)
+            assert report.passed == (expected <= 1e-8)
+            assert report.pairs_checked == q
 
 
 class TestFactorizedBoundarySum:
+    """The tests' factor-by-factor boundary sum, and the oracle, against full enumeration."""
+
     # depth 2 enumerates 3^12 rows per configuration, so it gets fewer draws
     @pytest.mark.parametrize("q, k, n, thetas, n_configs", [
         (3, 3, 1, (0.1, 0.2), 6), (3, 3, 2, (0.1,), 1),
@@ -236,24 +264,22 @@ class TestFactorizedBoundarySum:
         for theta in thetas:
             p = ModelParams(q=q, k=k, theta=theta)
             for field in _test_fields(p, rng):
-                rows = rng.integers(1, q + 1, size=(n_configs, n_inner))
-                for inner, got in zip(rows, _BoundarySum(tree, p, rows).log_sums(field)):
+                for inner in rng.integers(1, q + 1, size=(n_configs, n_inner)):
+                    got = boundary_log_sum_by_factors(k, n, p, field, inner.tolist())
                     expected = boundary_log_sum_by_enumeration(tree, p, field, inner)
                     worst = max(worst, abs(got - expected) / max(1.0, abs(expected)))
         assert worst <= 1e-13
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_verdicts_match_enumeration(self, p33, n, monkeypatch):
+    def test_verdicts_match_enumeration(self, p33, n):
         tree = build_tree(3, n)
         sol = solve_im(p33, 1)
         fields = [sol[1].full_field, sol[0].full_field,
                   PeriodTwoField(sol[0].full_field.h_even + 1e-3, sol[0].full_field.h_odd)]
-        n_pairs = 5 if n == 1 else 1
-        monkeypatch.setattr(oracle, "_N_PAIRS", n_pairs)
         verdicts = set()
         for field in fields:
-            report = check_consistency(tree, p33, field, tol=1e-6, seed=0)
-            expected = _brute_force_error(tree, p33, field, n_pairs, seed=0)
+            report = check_consistency(tree, p33, field, tol=1e-6)
+            expected = relative_spread_by_enumeration(3, n, p33, field)
             assert report.max_relative_error == pytest.approx(expected, abs=1e-13)
             assert report.passed == (expected <= 1e-6)
             verdicts.add(report.passed)
@@ -262,42 +288,60 @@ class TestFactorizedBoundarySum:
     def test_large_fields_do_not_overflow(self, p33):
         tree = build_tree(3, 2)
         field = PeriodTwoField(np.array([800.0, -800.0]), np.array([-800.0, 800.0]))
-        rows = np.ones((1, tree.n_vertices - len(tree.boundary())), dtype=np.int64)
-        assert np.isfinite(_BoundarySum(tree, p33, rows).log_sums(field)[0])
+        report = check_consistency(tree, p33, field)
+        assert np.isfinite(report.max_relative_error)
+        expected = relative_spread_by_enumeration(3, 2, p33, field)
+        assert report.max_relative_error == pytest.approx(expected, rel=1e-12)
 
 
 class TestTiedToModel:
-    """The batched oracle against the public Hamiltonian, row by row and exactly."""
+    """The closed form's per-spin gaps against the public Hamiltonian, row by row."""
+
+    @staticmethod
+    def _fields(p: ModelParams) -> list[PeriodTwoField]:
+        sol = solve_im(p, 1)[0].full_field
+        return [sol, sol.swapped(), PeriodTwoField(sol.h_even + 0.25, -sol.h_odd)]
+
+    @staticmethod
+    def _closed_form_gap(tree, g: list[float], row: list[int]) -> float:
+        return sum(g[row[v] - 1] for v in tree.generations[tree.n - 1])
 
     @pytest.mark.parametrize("q, k", [(3, 3), (4, 5)])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_rows_match_sequential_draws(self, q, k, n):
+        # the 21 configurations a sampled check compares: each gap is the sum
+        # of g over generation n-1, and their spread never exceeds the
+        # closed form's, which covers every configuration
+        p = ModelParams(q=q, k=k, theta=0.1)
         tree = build_tree(k, n)
-        n_inner = tree.n_vertices - len(tree.boundary())
+        width = len(tree.generations[n - 1])
         for seed in (0, 1, 2024):
-            rng = np.random.default_rng(seed)
-            expected = [np.ones(n_inner, dtype=np.int64)]
-            expected += [rng.integers(1, q + 1, size=n_inner) for _ in range(oracle._N_PAIRS)]
-            assert np.array_equal(oracle._draw_rows(q, n_inner, seed), np.stack(expected))
+            rows = _sampled_rows(q, tree.n_vertices - len(tree.boundary()), seed)
+            for field in self._fields(p):
+                g = oracle._spin_gaps(tree, p, field)
+                gaps = gaps_by_enumeration(k, n, p, field, rows)
+                for row, gap in zip(rows, gaps):
+                    closed = self._closed_form_gap(tree, g, row)
+                    assert closed == pytest.approx(gap, rel=1e-12, abs=1e-12)
+                scale = max(1.0, width * max(map(abs, g)))
+                assert max(gaps) - min(gaps) <= width * (max(g) - min(g)) + 1e-12 * scale
 
     @pytest.mark.parametrize("q, k", [(3, 3), (4, 5)])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_rows_match_model(self, q, k, n):
+        # the q configurations with one spin throughout attain the extremes:
+        # their gaps are width * g_s, and their spread is the closed form's
         p = ModelParams(q=q, k=k, theta=0.1)
         tree = build_tree(k, n)
-        inner_edges, inner_boundary = inner_ball(k, n)
-        sol = solve_im(p, 1)[0].full_field
-        fields = [sol, sol.swapped(),
-                  PeriodTwoField(sol.h_even + 0.25, -sol.h_odd)]
-        for seed in (0, 7):
-            rows = oracle._draw_rows(q, tree.n_vertices - len(tree.boundary()), seed)
-            bsum = _BoundarySum(tree, p, rows)
-            configs = rows.tolist()
-            assert bsum.mono == [monochromatic_edges(c, inner_edges, q) for c in configs]
-            for field in fields:
-                assert bsum.inner_log_weights(field) == [
-                    finite_volume_log_weight(c, inner_edges, inner_boundary, field, p)
-                    for c in configs]
+        width = len(tree.generations[n - 1])
+        n_inner = tree.n_vertices - len(tree.boundary())
+        rows = [[s] * n_inner for s in range(1, q + 1)]
+        for field in self._fields(p):
+            g = oracle._spin_gaps(tree, p, field)
+            gaps = gaps_by_enumeration(k, n, p, field, rows)
+            assert gaps == pytest.approx([width * gs for gs in g], rel=1e-12, abs=1e-12)
+            assert max(gaps) - min(gaps) == pytest.approx(width * (max(g) - min(g)),
+                                                          rel=1e-12, abs=1e-12)
 
 
 class TestDeepBalls:
@@ -322,6 +366,16 @@ class TestDeepBalls:
         assert tree.n_vertices == 13_121
         report = check_consistency(tree, p33, fields["P2 block"], tol=1e-8)
         assert report.passed, report.max_relative_error
+
+    def test_error_does_not_depend_on_depth(self, p33, fields):
+        # the per-spin gaps depend on the depth only through its parity, and
+        # both parities are checked, so the width cancels from the error
+        fld = fields["P2 block"]
+        bad = PeriodTwoField(h_even=fld.h_even + 1e-3, h_odd=fld.h_odd.copy())
+        errors = [check_consistency(build_tree(3, n), p33, bad).max_relative_error
+                  for n in range(2, 12)]
+        assert errors == pytest.approx([errors[0]] * len(errors), rel=1e-14)
+        assert errors[0] > 1e-4
 
     def test_perturbed_field_fails_depth_six(self, p33, fields):
         fld = fields["P2 block"]

@@ -1,14 +1,14 @@
 """Regression check: every consistency report the oracle gives, bit for bit.
 
 oracle_corpus.json holds, for a seeded set of checks, the inputs (q, k,
-theta, ball depth, seed and the float.hex of the field) and the report's
+theta, ball depth and the float.hex of the field) and the report's
 passed, pairs_checked and float.hex of max_relative_error.  The fields are
 the solutions of every invariant set at one theta on each side of
 theta_cr, plus a perturbed copy of each set's first solution below theta_cr,
 which fails.  The checks cover q = k = 3 at depths 1-4 and 8 and every
 3 <= q <= k <= 5 at depths 1-3; after them, one solution and one failure
-each at q = k = 3, depths 9 and 10 (the deepest the term budget allows),
-q = k = 4, depth 6 and q = 4, k = 5, depth 5.  The test re-runs each check from its stored
+each at q = k = 3, depths 9 and 10, q = k = 4, depth 6 and q = 4, k = 5,
+depth 5.  The test re-runs each check from its stored
 inputs and compares exactly, so it ties the oracle alone and not the solver.
 
 Regenerate the file (only when a change is meant to move a report) with
@@ -32,6 +32,8 @@ from gibbstree.sweep import parse_set_spec, solve_set
 CORPUS = Path(__file__).with_name("oracle_corpus.json")
 SEED = 23
 TOL = 1e-8
+# the oracle once drew its configurations from one of these seeds; corpus_cases
+# still draws one per case, so that every later draw, and every case, stays
 _SEEDS = (0, 1, 7, 2024)
 
 
@@ -47,14 +49,14 @@ def _fields(params: ModelParams, rng: np.random.Generator, perturb: bool) -> lis
     return out
 
 
-def _case(q: int, k: int, theta: float, depth: int, seed: int, label: str,
+def _case(q: int, k: int, theta: float, depth: int, label: str,
           f: PeriodTwoField) -> list:
-    return [q, k, theta.hex(), depth, seed, label,
+    return [q, k, theta.hex(), depth, label,
             [v.hex() for v in f.h_even.tolist()], [v.hex() for v in f.h_odd.tolist()]]
 
 
 def corpus_cases() -> list[list]:
-    """[q, k, theta hex, depth, seed, label, h_even hex, h_odd hex] of every case."""
+    """[q, k, theta hex, depth, label, h_even hex, h_odd hex] of every case."""
     rng = np.random.default_rng(SEED)
     cases = []
     for q, k in [(q, k) for k in range(3, 6) for q in range(3, k + 1)]:
@@ -65,13 +67,13 @@ def corpus_cases() -> list[list]:
             depths = (1, 2, 3, 4) if q == k == 3 else (1, 2, 3)
             for depth in depths:
                 for label, f in fields:
-                    seed = int(rng.choice(_SEEDS))
-                    cases.append(_case(q, k, theta, depth, seed, label, f))
+                    rng.choice(_SEEDS)
+                    cases.append(_case(q, k, theta, depth, label, f))
             if q == k == 3 and perturb:
                 # depth 8 costs most, so it checks one solution and one failure
                 failing = next(lf for lf in fields if lf[0].endswith("perturbed"))
                 for label, f in (fields[0], failing):
-                    cases.append(_case(q, k, theta, 8, 0, label, f))
+                    cases.append(_case(q, k, theta, 8, label, f))
     # deeper balls, drawn after the cases above so that none of their draws
     # moves; each checks one solution and one failure below theta_cr
     for q, k, depths in ((3, 3, (9, 10)), (4, 4, (6,)), (4, 5, (5,))):
@@ -80,18 +82,19 @@ def corpus_cases() -> list[list]:
         failing = next(lf for lf in fields if lf[0].endswith("perturbed"))
         for depth in depths:
             for label, f in (fields[0], failing):
-                cases.append(_case(q, k, theta, depth, int(rng.choice(_SEEDS)), label, f))
+                rng.choice(_SEEDS)
+                cases.append(_case(q, k, theta, depth, label, f))
     return cases
 
 
 def check_case(case: list) -> dict:
     """One corpus record: the case and the report of its consistency check."""
-    q, k, theta, depth, seed, _, h_even, h_odd = case
+    q, k, theta, depth, _, h_even, h_odd = case
     field = PeriodTwoField([float.fromhex(v) for v in h_even],
                            [float.fromhex(v) for v in h_odd])
     report = check_consistency(build_tree(k, depth),
                                ModelParams(q=q, k=k, theta=float.fromhex(theta)),
-                               field, tol=TOL, seed=seed)
+                               field, tol=TOL)
     return {
         "case": case,
         "passed": report.passed,
@@ -111,7 +114,6 @@ def test_corpus_holds_passes_and_failures():
     for depth in (1, 2, 3, 4, 5, 6, 8, 9, 10):
         verdicts = {r["passed"] for r in records if r["case"][3] == depth}
         assert verdicts == {True, False}, depth
-    assert {r["case"][4] for r in records} == set(_SEEDS)
 
 
 def print_diff(old: list[dict], new: list[dict]) -> bool:
