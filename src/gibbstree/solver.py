@@ -15,19 +15,21 @@ and V, so R's coefficients are never formed.  Root counts are therefore
 exact and independent of any grid.  A squarefree certificate modulo a prime
 runs only if the bisection goes deep, which is where a repeated root would
 keep it from ending.  The roots above 1 are the partners of those below it
-(the block value f(x) = y^(1/k), the mirror partner t), so each is shrunk
-from a narrow bracket around its partner's float when that bracket shows an
-exact sign change.  For block sets the partners are all of them: F = f^k is
-decreasing with F(1) = 1 and maps fixed points of F o F to fixed points, so
-it pairs the roots below 1 one-to-one with those above.  When the partner
-brackets are disjoint, lie above 1 and each shows an exact sign change,
-they are the isolating intervals above 1 and the reversed polynomial is not
-isolated; otherwise it is, as for mirror sets, where a rejected root above
-1 has no partner.  Bracket ends that are exact floats stay floats.  Each
-root is then lifted to its partner value and embedded back into the full
-field system.  Block set q-m is the image of block set m under x -> 1/x,
-so solve_im_reciprocal rounds its roots inside the reciprocals of the
-brackets a solve of set m certified, and isolates nothing.
+(the block value f(x) = y^(1/k), the mirror partner t), in both families:
+F = f^k is decreasing with F(1) = 1 and maps fixed points of F o F to fixed
+points, so it pairs the block roots below 1 one-to-one with those above;
+the mirror system z = N/D of invariants.im_prime_system_residual is
+symmetric in z and t, and N - D = (theta - 1)(t^k - 1) with D > 0, so
+z - 1 and t - 1 have opposite signs on every positive solution and its
+roots pair across 1 the same way.  When the narrow brackets around the
+partners' floats are disjoint, lie above 1 and each shows an exact sign
+change, they are the isolating intervals above 1 and the reversed
+polynomial is not isolated; otherwise it is.  Bracket ends that are exact
+floats stay floats.  Each root is then lifted to its partner value and
+embedded back into the full field system.  Block set q-m is the image of
+block set m under x -> 1/x, so solve_im_reciprocal rounds its roots inside
+the reciprocals of the brackets a solve of set m certified, and isolates
+nothing.
 
 scan_sign_changes, refine, Bracket and SolverConfig form a generic grid
 scan that no solver calls; perfbench/tracing.py still hooks
@@ -491,30 +493,13 @@ def _root_bound(coeffs: list[int]) -> float | Fraction:
     return math.ldexp(1.0, exp) if abs(exp) <= 1021 else Fraction(2) ** exp
 
 
-def _partner_bracket(coeffs: list[int], lo: Fraction | float, hi: Fraction | float,
-                     partners: list[float | None]) -> tuple[Fraction | float, Fraction | float]:
-    """A narrow bracket of the one root in (lo, hi) around a partner float, else (lo, hi).
-
-    The bracket y (1 +- _PARTNER_WIDTH), clipped to (lo, hi), is taken for
-    the first partner y inside (lo, hi) whose bracket ends have exact
-    nonzero opposite signs: it then holds the interval's one root.
-    """
-    for y in partners:
-        if y is not None and lo < y < hi:
-            b_lo = max(lo, y * (1.0 - _PARTNER_WIDTH))
-            b_hi = min(hi, y * (1.0 + _PARTNER_WIDTH))
-            if _sign_at(coeffs, b_lo) * _sign_at(coeffs, b_hi) < 0:
-                return b_lo, b_hi
-    return lo, hi
-
-
 def _paired_brackets(coeffs: list[int], partners: list[float | None],
                      ) -> list[tuple[float, float]] | None:
     """Isolating intervals of every root above 1 from the partners of the roots below 1, or None.
 
     partners are the floats near the partner roots of the roots below 1,
     in ascending order of those roots, for a polynomial whose roots above 1
-    are exactly those partners (see _positive_roots).  Returns the brackets
+    are exactly those partners (see _certified_roots).  Returns the brackets
     y (1 +- _PARTNER_WIDTH), ascending, if they all lie above 1, are
     disjoint and each shows exact nonzero opposite signs at its ends: each
     then holds at least one root, and as many brackets as roots leave
@@ -555,19 +540,18 @@ def _certified_roots(coeffs: list[int], partner=None, k: int = 1,
     is raised to the k-th power and rounded by the exact signs of R.  Its
     sign just inside the bracket is that of T, which below 1 is the sign of
     T / (z - 1)^mu times (-1)^mu, mu the multiplicity of the root 1.
-    partner, if given, maps a returned root in (0, 1) to a float near
-    another root of the polynomial, or None; the roots in (1, inf) are then
-    shrunk from narrow brackets around those floats where possible (see
-    _partner_bracket).
 
-    With k > 1, partner must be the block map f, so that z = f(x) for each
-    root x = z^k below 1.  Then the roots above 1 need no isolation when the
-    partner brackets pair up (see _paired_brackets): F = f^k is decreasing
-    with F(1) = 1 and maps fixed points of F o F to fixed points, so it
-    takes the roots of R below 1 one-to-one onto those above 1, and T has
-    exactly as many roots above 1 as below.  If any partner bracket fails,
-    the reversed polynomial is isolated as for k = 1.  The pairing does not
-    hold for the mirror polynomial, whose rejected roots have no partner.
+    partner, if given, maps each root in (0, 1) to a float near its partner
+    root, or None: the block map f for block sets (k > 1), so that z = f(x)
+    for each root x = z^k below 1, or the lift to t for mirror sets.  The
+    partners must be all the roots in (1, inf), as they are in both
+    families (see the module docstring).  Those roots then need no
+    isolation when the partner brackets pair up (see _paired_brackets).  If
+    any partner bracket fails (a partner that is None, a bracket not above
+    1, overlapping brackets, or no exact sign change at its ends), or no
+    partner is given, the reversed polynomial is isolated.  So a root above
+    1 that is no root's partner, such as a mirror root without a positive
+    lift, is found only when the pairing falls back.
 
     Each root comes as (float, (lo, hi)): lo <= root <= hi are the exact
     ends of the shrunk bracket it was rounded in, which holds no other root
@@ -591,13 +575,11 @@ def _certified_roots(coeffs: list[int], partner=None, k: int = 1,
 
     low = 1 / _root_bound(coeffs[::-1])
     roots = [nearest(lo or low, hi) for lo, hi in _isolate_unit_interval(coeffs)]
-    partners = [partner(x) for x, _ in roots] if partner else []
-    above = _paired_brackets(coeffs, partners) if k > 1 and partner else None
+    above = _paired_brackets(coeffs, [partner(x) for x, _ in roots]) if partner else None
     if above is None:
         high = _root_bound(coeffs)
         # exact reciprocals: 1 / Fraction, never a rounded float quotient
-        above = [_partner_bracket(coeffs, 1 / Fraction(hi), 1 / Fraction(lo) if lo else high,
-                                  partners)
+        above = [(1 / Fraction(hi), 1 / Fraction(lo) if lo else high)
                  for lo, hi in reversed(_isolate_unit_interval(coeffs[::-1]))]
     return roots + [nearest(lo, hi) for lo, hi in above]
 
@@ -693,7 +675,10 @@ def solve_im_prime(params: ModelParams, m: int,
     count does not depend on any grid.  Every accepted root z recovers a
     positive partner t and satisfies the coupled fixed-point system to 1e-9;
     roots whose partner is nonpositive or that miss the system are reported
-    in the second list with a reason.
+    in the second list with a reason.  The roots above 1 are taken from the
+    partners t of those below it (see _certified_roots), so a root above 1
+    that is no such partner is found, and reported, only when that pairing
+    falls back to isolating the roots above 1.
     """
     params.require_solver_regime()
     set_id = InvariantSetId(SetKind.IM_PRIME, m)

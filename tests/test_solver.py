@@ -22,11 +22,14 @@ from gibbstree.invariants import (
     im_prime_coeffs,
     im_prime_system_residual,
     mobius_pow_k,
+    recover_t_from_z,
 )
 from gibbstree import solver
 from gibbstree.solver import (
     Bracket,
+    RejectedRoot,
     SolverConfig,
+    _certified_roots,
     _divide_out_unit_root,
     _homogeneous,
     _nearest_float,
@@ -310,13 +313,16 @@ class TestSolveImPrime:
         xs = [s.x for s in sols]
         assert xs == sorted(xs)
 
-    def test_rejected_roots_reported(self, p33):
+    def test_rejected_roots_reported(self, monkeypatch, p33):
         # polynomial roots whose mirror partner is not recoverable are
-        # surfaced with a reason instead of silently dropped
+        # surfaced with a reason instead of silently dropped; the root below
+        # 1 still lifts, so the root above 1 is found from its partner
+        recover = solver.recover_t_from_z
+        monkeypatch.setattr(solver, "recover_t_from_z",
+                            lambda z, params, m: None if z > 1 else recover(z, params, m))
         sols, rejected = solve_im_prime(p33, 1)
-        for r in rejected:
-            assert r.reason
-            assert all(abs(r.z - s.z) > 1e-8 for s in sols)
+        assert [s.z for s in sols] == [0.5676438687968762, 1.0]
+        assert rejected == [RejectedRoot(z=1.297846475877372, reason="partner value t not positive")]
 
     @staticmethod
     def _large_k_solves():
@@ -418,14 +424,27 @@ class TestExactRootIsolation:
 
     @pytest.mark.parametrize("partner", [
         lambda x: None,   # no partner
-        lambda x: 1.5,    # outside both isolating intervals, (2, 4) and (4, 32)
-        lambda x: 3.5,    # inside (2, 4), but no sign change across its bracket
+        lambda x: 1.5,    # below the root 3: no sign change across its bracket
+        lambda x: 3.5,    # above it: no sign change either
         lambda x: 3.0,    # the true partner
     ])
-    def test_partner_bracket_falls_back(self, partner):
-        # (3z-1)(z-3)(z-7)(z+1): any partner gives the floats of no partner
-        c = _poly([-1, 3], [-3, 1], [-7, 1], [1, 1])
-        assert _positive_roots(c, partner) == _positive_roots(c) == [1 / 3, 3.0, 7.0]
+    def test_partner_bracket_falls_back(self, isolations, partner):
+        # (3z-1)(z-3)(z+1): the partners must be every root above 1, as here,
+        # so the true one replaces the second isolation and a wrong one
+        # falls back to it; both give the same floats
+        c = _poly([-1, 3], [-3, 1], [1, 1])
+        assert _positive_roots(c, partner) == [1 / 3, 3.0]
+        assert len(isolations) == (1 if partner(1 / 3) == 3.0 else 2)
+
+    @pytest.mark.parametrize("partner, isolated", [
+        (lambda x: 1 / x, 1),   # the true partners
+        (lambda x: 3.0, 2),     # both brackets around 3: they overlap
+    ], ids=["true", "overlapping"])
+    def test_overlapping_partner_brackets_fall_back(self, isolations, partner, isolated):
+        # (3z-1)(5z-1)(z-3)(z-5)(z+1): two roots on each side of 1
+        c = _poly([-1, 3], [-1, 5], [-3, 1], [-5, 1], [1, 1])
+        assert _positive_roots(c, partner) == [0.2, 1 / 3, 3.0, 5.0]
+        assert len(isolations) == isolated
 
     def test_partner_brackets_in_both_families(self, monkeypatch):
         # each root above 1 is shrunk from a bracket of relative width ~2^-29
@@ -473,6 +492,28 @@ class TestExactRootIsolation:
         assert [(s.x.hex(), s.y.hex()) for s in solve_im(p, 2)] == want
         assert len(isolations) == 2
 
+    def test_mirror_roots_above_one_are_paired(self, isolations):
+        # the lifts t of the roots below 1 replace the second isolation
+        sols, rejected = solve_im_prime(ModelParams(q=5, k=6, theta=0.1), 2)
+        assert [s.z.hex() for s in sols] == [
+            "0x1.90c00c9b7921dp-1", "0x1.0000000000000p+0", "0x1.23d7a0a60793fp+0"]
+        assert rejected == []
+        assert len(isolations) == 1
+
+    @pytest.mark.parametrize("fake", [
+        lambda z, t: 1.1,       # no root of the polynomial in its bracket: no sign change
+        lambda z, t: 1.0 / t,   # below 1
+        lambda z, t: z,         # a root, with a sign change, but below 1
+    ], ids=["no_sign_change", "below_one", "root_below_one"])
+    def test_mirror_pairing_falls_back(self, isolations, fake):
+        p = ModelParams(q=5, k=6, theta=0.1)
+        want = [s.z.hex() for s in solve_im_prime(p, 2)[0] if s.z != 1.0]
+        isolations.clear()
+        roots = _certified_roots(im_prime_coeffs(p, 2),
+                                 lambda z: fake(z, recover_t_from_z(z, p, 2)))
+        assert [z.hex() for z, _ in roots] == want
+        assert len(isolations) == 2
+
     def test_unit_root_divided_out_with_multiplicity(self):
         assert _divide_out_unit_root(_poly([-1, 1], [-1, 1], [-1, 1], [2, 1])) == [2, 1]
 
@@ -487,7 +528,8 @@ class TestExactRootIsolation:
         # the root lies between the midpoints to both neighbouring floats,
         # so no other float is nearer to it: every block x against R built
         # from its defining formula, every mirror root against its
-        # polynomial, k <= 9, near theta_cr and as theta -> 1
+        # polynomial, paired across 1 by its lift where the pairing holds,
+        # k <= 9, near theta_cr and as theta -> 1
         def sign(v):
             return (v > 0) - (v < 0)
 
@@ -514,9 +556,9 @@ class TestExactRootIsolation:
                 roots = [s.x for s in solve_im(p, m)]
                 value = partial(two_step_value, p, m)
             else:
-                c = _divide_out_unit_root(
-                    im_prime_coeffs(p, int(rng.integers(1, (q - 1) // 2 + 1))))
-                roots = _positive_roots(c)
+                m = int(rng.integers(1, (q - 1) // 2 + 1))
+                c = _divide_out_unit_root(im_prime_coeffs(p, m))
+                roots = _positive_roots(c, partial(recover_t_from_z, params=p, m=m))
                 value = partial(horner, c)
             for x in roots:
                 below = (Fraction(x) + Fraction(math.nextafter(x, 0.0))) / 2

@@ -81,7 +81,7 @@ class TestSolveSets:
         records = json.loads(Path(__file__).with_name("root_corpus.json").read_text())
         points = {(q, k, float.fromhex(theta)) for q, k, theta, _, _ in
                   (r["case"] for r in records)}
-        assert len(points) == 95
+        assert len(points) == 100
         for q, k, theta in sorted(points):
             p = ModelParams(q=q, k=k, theta=theta)
             ids = parse_set_spec("all", q)
