@@ -35,7 +35,7 @@ class ConvergenceError(GibbsTreeError):
 
 
 class BudgetError(GibbsTreeError):
-    """A finite tree or the oracle's boundary sum would exceed its size budget."""
+    """A finite tree would exceed build_tree's vertex budget."""
 
 
 class ResidualError(GibbsTreeError):

@@ -75,10 +75,9 @@ class ReducedScalar:
 
     Mirror solutions also carry the root coordinates (z, t) with x = z^k and
     y = t^k.  embed_full fills in full_field and residual_full, the expanded
-    (q-1)-component field pair and its max-norm fixed-point residual.  The
-    block solvers set bracket on every non-unit solution: the exact ends
-    (lo, hi) of an interval that holds the exact root x rounds, and no
-    other root of the two-step polynomial (lo == hi when x is that root).
+    (q-1)-component field pair and its max-norm fixed-point residual.
+    A block solver's x is the float nearest to its exact root, which is all
+    solver.solve_im_reciprocal needs to derive block set q-m from it.
     """
 
     x: float
@@ -88,7 +87,6 @@ class ReducedScalar:
     t: float | None = None
     residual_full: float = field(default=math.nan, init=False)
     full_field: PeriodTwoField | None = field(default=None, init=False, repr=False)
-    bracket: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (self.x > 0.0 and math.isfinite(self.x)):

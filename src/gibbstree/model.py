@@ -246,9 +246,9 @@ def finite_volume_log_weight(config: Sequence[int] | Mapping[int, int],
         ln w = ln(theta) * #monochromatic(edges) + sum over boundary field terms
 
     boundary lists (vertex, depth) pairs for the outer generation; a vertex of
-    even depth reads field.h_even, odd depth field.h_odd, and spin q
+    even depth reads field.even, odd depth field.odd, and spin q
     contributes zero.  At depth 0 the boundary is the root itself, so the
-    volume-zero weight of a root spin s is exp(h_even[s]).
+    volume-zero weight of a root spin s is exp(field.even[s - 1]).
     """
     q = params.q
     if field.q != q:

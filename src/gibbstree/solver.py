@@ -28,8 +28,8 @@ polynomial is not isolated; otherwise it is.  Bracket ends that are exact
 floats stay floats.  Each root is then lifted to its partner value and
 embedded back into the full field system.  Block set q-m is the image of
 block set m under x -> 1/x, so solve_im_reciprocal rounds its roots inside
-the reciprocals of the brackets a solve of set m certified, and isolates
-nothing.
+the reciprocals of the half-ulp cells of the floats a solve of set m
+returned, each of which holds one root alone, and isolates nothing.
 
 scan_sign_changes, refine, Bracket and SolverConfig form a generic grid
 scan that no solver calls; perfbench/tracing.py still hooks
@@ -518,14 +518,8 @@ def _paired_brackets(coeffs: list[int], partners: list[float | None],
     return brackets
 
 
-def _positive_roots(coeffs: list[int], partner=None, k: int = 1) -> list[float]:
-    """The roots of _certified_roots, without their brackets."""
-    return [x for x, _ in _certified_roots(coeffs, partner, k)]
-
-
-def _certified_roots(coeffs: list[int], partner=None, k: int = 1,
-                     ) -> list[tuple[float, tuple[Fraction | float, Fraction | float]]]:
-    """Every positive root other than 1 of an integer polynomial, ascending, with its bracket.
+def _certified_roots(coeffs: list[int], partner=None, k: int = 1) -> list[float]:
+    """Every positive root other than 1 of an integer polynomial, ascending.
 
     Divides out the root 1 with its multiplicity.  Roots in (0, 1) are
     isolated directly; roots in (1, inf) are the reciprocals of the roots in
@@ -553,10 +547,11 @@ def _certified_roots(coeffs: list[int], partner=None, k: int = 1,
     1 that is no root's partner, such as a mirror root without a positive
     lift, is found only when the pairing falls back.
 
-    Each root comes as (float, (lo, hi)): lo <= root <= hi are the exact
-    ends of the shrunk bracket it was rounded in, which holds no other root
-    (with k > 1, the bracket of z raised to the k-th power, which holds no
-    other root of R); lo == hi when the root is found exactly.
+    Every root is returned, each as its nearest float, so where those floats
+    are strictly increasing the half-ulp cell of each (the reals nearer to it
+    than to any other float) holds its root and no other: a second root in
+    the cell would round to the same float.  solve_im_reciprocal relies on
+    this.
     """
     sign_x = _two_step_sign(coeffs, k) if k > 1 else None
     deflated = _divide_out_unit_root(coeffs)
@@ -567,15 +562,14 @@ def _certified_roots(coeffs: list[int], partner=None, k: int = 1,
     def nearest(lo, hi):
         lo, hi, s_lo = _shrink(coeffs, lo, hi)
         if k == 1:
-            return _nearest_float(lambda x: _sign_at(coeffs, x), lo, hi, s_lo), (lo, hi)
+            return _nearest_float(lambda x: _sign_at(coeffs, x), lo, hi, s_lo)
         if flip_below and hi <= 1:
             s_lo = -s_lo
-        lo, hi = Fraction(lo) ** k, Fraction(hi) ** k
-        return _nearest_float(sign_x, lo, hi, s_lo), (lo, hi)
+        return _nearest_float(sign_x, Fraction(lo) ** k, Fraction(hi) ** k, s_lo)
 
     low = 1 / _root_bound(coeffs[::-1])
     roots = [nearest(lo or low, hi) for lo, hi in _isolate_unit_interval(coeffs)]
-    above = _paired_brackets(coeffs, [partner(x) for x, _ in roots]) if partner else None
+    above = _paired_brackets(coeffs, [partner(x) for x in roots]) if partner else None
     if above is None:
         high = _root_bound(coeffs)
         # exact reciprocals: 1 / Fraction, never a rounded float quotient
@@ -596,13 +590,10 @@ def solve_im(params: ModelParams, m: int) -> list[ReducedScalar]:
     params.require_solver_regime()
     set_id = InvariantSetId(SetKind.IM, m)
     set_id.validate_for(params.q)
-    solutions = []
     # the partner y = f(x)^k of a root x is a root of R, so f(x) is one of T
-    for x, bracket in _certified_roots(im_coeffs(params, m),
-                                       lambda x: mobius_map(x, params, m), params.k):
-        sol = ReducedScalar(x=x, y=mobius_pow_k(x, params, m), set_id=set_id)
-        sol.bracket = bracket
-        solutions.append(sol)
+    solutions = [ReducedScalar(x=x, y=mobius_pow_k(x, params, m), set_id=set_id)
+                 for x in _certified_roots(im_coeffs(params, m),
+                                           lambda x: mobius_map(x, params, m), params.k)]
     # x = 1 is always a fixed point, and f(1) = 1 exactly
     solutions.append(ReducedScalar(x=1.0, y=1.0, set_id=set_id))
     solutions.sort(key=lambda s: s.x)
@@ -611,16 +602,11 @@ def solve_im(params: ModelParams, m: int) -> list[ReducedScalar]:
     return solutions
 
 
-def _reciprocal_bracket(x: float, lo: Fraction | float, hi: Fraction | float,
-                        ) -> tuple[Fraction | float, Fraction | float]:
-    """(1/b, 1/a), for (a, b) the bracket (lo, hi) of a root narrowed around x.
-
-    (a, b) keeps the reals of (lo, hi) that are nearer to x than to any
-    other float, so it still holds the root if x is the float nearest to it.
-    """
+def _reciprocal_cell(x: float) -> tuple[Fraction, Fraction]:
+    """(1/above, 1/below), for (below, above) the reals nearer to x than to any other float."""
     below = (Fraction(x) + Fraction(math.nextafter(x, 0.0))) / 2
     above = (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
-    return 1 / Fraction(min(hi, above)), 1 / Fraction(max(lo, below))
+    return 1 / above, 1 / below
 
 
 def solve_im_reciprocal(params: ModelParams, m: int,
@@ -633,34 +619,33 @@ def solve_im_reciprocal(params: ModelParams, m: int,
     and a, so im_coeffs(params, q-m) is im_coeffs(params, m) reversed and
     negated, and sign R_(q-m)(x) = -sign R_m(1/x) for x > 0.  The non-unit
     solutions of im:q-m are therefore the reciprocals of those of im:m, in
-    reverse order.  Each is rounded to its nearest float by exact signs of
-    R_(q-m) inside the reciprocal of the primary root's bracket, which
-    solve_im certified to hold that root of R_m alone (ReducedScalar.bracket),
-    narrowed to the reals nearer to the primary's x than to any other float.
-    Where such a bracket shows no exact sign change of R_(q-m) at its ends
-    (no zero, if its ends meet), or a non-unit solution carries no bracket,
-    the set is solved by solve_im(params, q - m) instead.  Each derived
-    solution carries its bracket in turn.
+    reverse order.  solve_im returns every positive root of R_m as its
+    nearest float, so where the xs are strictly increasing the half-ulp cell
+    of each x holds that root of R_m alone (see _certified_roots), and the
+    reciprocal of the cell holds one root of R_(q-m) alone.  Each derived
+    root is rounded to its nearest float by exact signs of R_(q-m) inside
+    that reciprocal cell.  Where the xs are not strictly increasing, or a
+    cell shows no exact nonzero opposite signs of R_(q-m) at its ends, the
+    set is solved by solve_im(params, q - m) instead.
     """
     params.require_solver_regime()
     InvariantSetId(SetKind.IM, m).validate_for(params.q)
     set_id = InvariantSetId(SetKind.IM, params.q - m)
     sign = _two_step_sign(im_coeffs(params, set_id.m), params.k)
+    xs = [sol.x for sol in solutions]
+    if not all(a < b for a, b in zip(xs, xs[1:])):
+        return solve_im(params, set_id.m)
     derived = []
-    for sol in reversed(solutions):
-        if sol.bracket is None:
-            if sol.x != 1.0:
-                return solve_im(params, set_id.m)
+    for x in reversed(xs):
+        if x == 1.0:
             derived.append(ReducedScalar(x=1.0, y=1.0, set_id=set_id))
             continue
-        lo, hi = _reciprocal_bracket(sol.x, *sol.bracket)
+        lo, hi = _reciprocal_cell(x)
         s_lo = sign(lo)
-        if not (s_lo * sign(hi) < 0 if lo < hi else s_lo == 0):
+        if not s_lo * sign(hi) < 0:
             return solve_im(params, set_id.m)
         x = _nearest_float(sign, lo, hi, s_lo)
-        new = ReducedScalar(x=x, y=mobius_pow_k(x, params, set_id.m), set_id=set_id)
-        new.bracket = (lo, hi)
-        derived.append(new)
+        derived.append(ReducedScalar(x=x, y=mobius_pow_k(x, params, set_id.m), set_id=set_id))
     for sol in derived:
         embed_full(sol, params)
     return derived
@@ -684,8 +669,8 @@ def solve_im_prime(params: ModelParams, m: int,
     set_id = InvariantSetId(SetKind.IM_PRIME, m)
     set_id.validate_for(params.q)
 
-    roots = _positive_roots(im_prime_coeffs(params, m),
-                            lambda z: recover_t_from_z(z, params, m))
+    roots = _certified_roots(im_prime_coeffs(params, m),
+                             lambda z: recover_t_from_z(z, params, m))
     roots.append(1.0)  # p(1) = 0 exactly
 
     solutions = []

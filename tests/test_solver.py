@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 
@@ -18,6 +19,7 @@ from gibbstree import (
 )
 from gibbstree.errors import EvaluationError
 from gibbstree.invariants import (
+    ReducedScalar,
     im_coeffs,
     im_prime_coeffs,
     im_prime_system_residual,
@@ -33,7 +35,6 @@ from gibbstree.solver import (
     _divide_out_unit_root,
     _homogeneous,
     _nearest_float,
-    _positive_roots,
     _require_squarefree,
     _sign_at,
     _two_step_sign,
@@ -393,14 +394,14 @@ def isolations(monkeypatch):
 class TestExactRootIsolation:
     def test_roots_on_both_sides_of_one(self):
         # (3z-1)(z-2)(z-5)(z+1): the negative root is ignored
-        roots = _positive_roots(_poly([-1, 3], [-2, 1], [-5, 1], [1, 1]))
+        roots = _certified_roots(_poly([-1, 3], [-2, 1], [-5, 1], [1, 1]))
         assert roots == pytest.approx([1 / 3, 2.0, 5.0], rel=1e-15)
 
     def test_roots_on_bisection_midpoints(self):
         # 1/2 and 3/4 are bisection points of (0, 1); 2 is 1/(1/2) on the
         # reversed side; each is found exactly and its neighbour still is
         c = _poly([-1, 2], [-3, 4], [-7, 1], [1, 1], [-2, 1], [3, 1])
-        assert _positive_roots(c) == [0.5, 0.75, 2.0, 7.0]
+        assert _certified_roots(c) == [0.5, 0.75, 2.0, 7.0]
 
     def test_repeated_root_is_refused(self):
         with pytest.raises(ConvergenceError):
@@ -415,12 +416,12 @@ class TestExactRootIsolation:
     def test_repeated_positive_root_raises(self, factors):
         # the certificate runs only once the bisection needs it, and still refuses
         with pytest.raises(ConvergenceError):
-            _positive_roots(_poly(*factors))
+            _certified_roots(_poly(*factors))
 
     def test_repeated_negative_root_is_ignored(self):
         # (x+1)^2 (3x-1): Descartes' counts settle (0, 1) and (1, inf) before
         # any repeated root matters, so no certificate runs
-        assert _positive_roots(_poly([1, 1], [1, 1], [-1, 3])) == [1 / 3]
+        assert _certified_roots(_poly([1, 1], [1, 1], [-1, 3])) == [1 / 3]
 
     @pytest.mark.parametrize("partner", [
         lambda x: None,   # no partner
@@ -433,7 +434,7 @@ class TestExactRootIsolation:
         # so the true one replaces the second isolation and a wrong one
         # falls back to it; both give the same floats
         c = _poly([-1, 3], [-3, 1], [1, 1])
-        assert _positive_roots(c, partner) == [1 / 3, 3.0]
+        assert _certified_roots(c, partner) == [1 / 3, 3.0]
         assert len(isolations) == (1 if partner(1 / 3) == 3.0 else 2)
 
     @pytest.mark.parametrize("partner, isolated", [
@@ -443,7 +444,7 @@ class TestExactRootIsolation:
     def test_overlapping_partner_brackets_fall_back(self, isolations, partner, isolated):
         # (3z-1)(5z-1)(z-3)(z-5)(z+1): two roots on each side of 1
         c = _poly([-1, 3], [-1, 5], [-3, 1], [-5, 1], [1, 1])
-        assert _positive_roots(c, partner) == [0.2, 1 / 3, 3.0, 5.0]
+        assert _certified_roots(c, partner) == [0.2, 1 / 3, 3.0, 5.0]
         assert len(isolations) == isolated
 
     def test_partner_brackets_in_both_families(self, monkeypatch):
@@ -467,8 +468,8 @@ class TestExactRootIsolation:
             "0x1.90c00c9b7921dp-1", "0x1.0000000000000p+0", "0x1.23d7a0a60793fp+0"]
         assert rejected == []
         assert len(widths) == 2 and all(w < 2.0 ** -28 for w in widths)
-        assert _positive_roots(im_coeffs(p, 2), k=6)[-1].hex() == "0x1.8aec624d97443p+2"
-        assert _positive_roots(im_prime_coeffs(p, 2))[-1].hex() == "0x1.23d7a0a60793fp+0"
+        assert _certified_roots(im_coeffs(p, 2), k=6)[-1].hex() == "0x1.8aec624d97443p+2"
+        assert _certified_roots(im_prime_coeffs(p, 2))[-1].hex() == "0x1.23d7a0a60793fp+0"
 
     @pytest.mark.parametrize("theta, xs", [
         (0.1, ["0x1.8d0424ac9d416p-4", "0x1.0000000000000p+0", "0x1.8aec624d97443p+2"]),
@@ -511,7 +512,7 @@ class TestExactRootIsolation:
         isolations.clear()
         roots = _certified_roots(im_prime_coeffs(p, 2),
                                  lambda z: fake(z, recover_t_from_z(z, p, 2)))
-        assert [z.hex() for z, _ in roots] == want
+        assert [z.hex() for z in roots] == want
         assert len(isolations) == 2
 
     def test_unit_root_divided_out_with_multiplicity(self):
@@ -522,7 +523,7 @@ class TestExactRootIsolation:
         cases = [([-2, 0, 1], math.sqrt(2.0)), ([-1, 3], 1 / 3), ([-10, 3], 10 / 3),
                  ([-235742, 7], 235742 / 7), ([-3, 1_000_000], 3e-6)]
         for c, root in cases:
-            assert _positive_roots(c) == [root]
+            assert _certified_roots(c) == [root]
 
     def test_roots_are_correctly_rounded(self):
         # the root lies between the midpoints to both neighbouring floats,
@@ -558,7 +559,7 @@ class TestExactRootIsolation:
             else:
                 m = int(rng.integers(1, (q - 1) // 2 + 1))
                 c = _divide_out_unit_root(im_prime_coeffs(p, m))
-                roots = _positive_roots(c, partial(recover_t_from_z, params=p, m=m))
+                roots = _certified_roots(c, partial(recover_t_from_z, params=p, m=m))
                 value = partial(horner, c)
             for x in roots:
                 below = (Fraction(x) + Fraction(math.nextafter(x, 0.0))) / 2
@@ -670,14 +671,7 @@ class TestReciprocalSets:
                 derived = solve_im_reciprocal(p, m, primary)
                 assert _hexes(derived) == _hexes(solve_im(p, p.q - m)), (p, m)
                 assert {s.set_id.m for s in derived} == {p.q - m}
-                # each derived root was rounded inside the reciprocal of its
-                # primary's certified bracket
-                for a, b in zip(reversed(primary), derived):
-                    assert (a.bracket is None) == (b.bracket is None)
-                    if a.bracket is not None:
-                        lo, hi = b.bracket
-                        assert 1 / a.bracket[1] <= lo <= hi <= 1 / a.bracket[0]
-                # the map is an involution, and derived solutions carry brackets too
+                # the map is an involution
                 assert _hexes(solve_im_reciprocal(p, p.q - m, derived)) == _hexes(primary)
 
     @pytest.fixture
@@ -701,29 +695,33 @@ class TestReciprocalSets:
         assert block_solves == [] and isolations == []
         assert _hexes(derived) == _hexes(solve_im(p, 3))
 
-    @pytest.mark.parametrize("fake", [
-        lambda lo, hi: (hi, 2 * hi),        # beside the root: no sign change
-        lambda lo, hi: (lo, lo),            # ends meet off the root: no zero
-    ], ids=["no_sign_change", "empty"])
-    def test_fallback_when_a_bracket_shows_no_sign_change(self, monkeypatch, block_solves, fake):
+    def test_derived_from_fresh_records(self, block_solves):
+        # the floats alone certify the derivation: records rebuilt from x
+        # and y carry nothing else from the solve
+        p = ModelParams(q=5, k=6, theta=0.1)
+        primary = [ReducedScalar(x=s.x, y=s.y, set_id=s.set_id) for s in solve_im(p, 2)]
+        assert _hexes(solve_im_reciprocal(p, 2, primary)) == _hexes(solve_im(p, 3))
+        assert block_solves == []
+
+    @pytest.mark.parametrize("case", ["no_sign_change", "moved_one_ulp", "duplicated"])
+    def test_fallback_when_a_bracket_shows_no_sign_change(self, monkeypatch, block_solves, case):
         p = ModelParams(q=5, k=6, theta=0.1)
         primary = solve_im(p, 2)
         want = _hexes(solve_im(p, 3))
-        recip = solver._reciprocal_bracket
-        monkeypatch.setattr(solver, "_reciprocal_bracket",
-                            lambda x, lo, hi: fake(*recip(x, lo, hi)))
+        if case == "no_sign_change":
+            # each cell moved beside its root
+            cell = solver._reciprocal_cell
+            monkeypatch.setattr(solver, "_reciprocal_cell",
+                                lambda x: (cell(x)[1], 2 * cell(x)[1]))
+        elif case == "moved_one_ulp":
+            # the root is no longer in the cell of the smallest x
+            primary[0] = replace(primary[0], x=math.nextafter(primary[0].x, 0.0))
+        else:
+            # xs not strictly increasing: a cell may hold two roots
+            primary.insert(0, primary[0])
         block_solves.clear()
         assert _hexes(solve_im_reciprocal(p, 2, primary)) == want
         assert block_solves == [3]
-
-    def test_fallback_without_brackets(self, block_solves):
-        p = ModelParams(q=4, k=5, theta=0.05)
-        primary = solve_im(p, 1)
-        for sol in primary:
-            sol.bracket = None
-        block_solves.clear()
-        assert _hexes(solve_im_reciprocal(p, 1, primary)) == _hexes(solve_im(p, 3))
-        assert block_solves[0] == 3
 
     def test_gates(self, p33):
         with pytest.raises(ParameterError):

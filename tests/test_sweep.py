@@ -16,7 +16,7 @@ from gibbstree import (
     solve_im,
     solve_im_prime,
 )
-from gibbstree import sweep
+from gibbstree import solver, sweep
 from gibbstree.sweep import (
     CSV_HEADER,
     parse_set_spec,
@@ -77,11 +77,17 @@ def _record(solutions, params):
 class TestSolveSets:
     """solve_sets derives im:q-m from im:m; the rows must not show it."""
 
-    def test_matches_per_set_solves_at_every_corpus_point(self):
+    def test_matches_per_set_solves_at_every_corpus_point(self, monkeypatch):
         records = json.loads(Path(__file__).with_name("root_corpus.json").read_text())
         points = {(q, k, float.fromhex(theta)) for q, k, theta, _, _ in
                   (r["case"] for r in records)}
         assert len(points) == 100
+        # solve_im_reciprocal falls back through solver.solve_im; sweep and
+        # this module bind their own, so every call here is a fallback
+        fallbacks = []
+        solve = solver.solve_im
+        monkeypatch.setattr(solver, "solve_im",
+                            lambda params, m: fallbacks.append((params, m)) or solve(params, m))
         for q, k, theta in sorted(points):
             p = ModelParams(q=q, k=k, theta=theta)
             ids = parse_set_spec("all", q)
@@ -91,6 +97,7 @@ class TestSolveSets:
                 else:
                     direct = solve_im_prime(p, set_id.m)[0]
                 assert _record(solutions, p) == _record(direct, p), (q, k, theta, set_id)
+        assert fallbacks == []
 
     @pytest.fixture
     def set_solves(self, monkeypatch):
