@@ -4,9 +4,9 @@ root_corpus.json holds float.hex of x, y, z and t of every solution, and
 every rejected mirror root with its reason, for a seeded set of parameter
 points: one uniform theta on each side of theta_cr, theta_cr itself and
 theta_cr (1 +- 1e-9), at every block and mirror index, for every q at
-k <= 7, for q = 3, 4 at k = 11, 16 and for q = k = 8, where at theta_cr the
-mirror roots above 1 are isolated rather than paired.  The test re-solves
-each point and compares exactly.
+k <= 7, for q = 3, 4 at k = 11, 16, and for q = k = 8, q = 7 at k = 9 and
+q = k = 11, where at float(theta_cr) the roots beside 1 lie within about
+1e-9 of it.  The test re-solves each point and compares exactly.
 
 Regenerate the file (only when a change is meant to move a root) with
 
@@ -40,7 +40,7 @@ def corpus_cases():
     # the large-k points come last, so the draws of the small-k ones stay put
     qk = [(q, k) for k in range(3, 8) for q in range(3, k + 1)]
     qk += [(q, k) for k in (11, 16) for q in (3, 4)]
-    qk += [(8, 8)]
+    qk += [(8, 8), (7, 9), (11, 11)]
     for q, k in qk:
         t_cr = theta_critical(q, k)
         thetas = (float(rng.uniform(0.02, t_cr)), float(rng.uniform(t_cr, 0.98)),

@@ -81,7 +81,7 @@ class TestSolveSets:
         records = json.loads(Path(__file__).with_name("root_corpus.json").read_text())
         points = {(q, k, float.fromhex(theta)) for q, k, theta, _, _ in
                   (r["case"] for r in records)}
-        assert len(points) == 100
+        assert len(points) == 110
         # solve_im_reciprocal falls back through solver.solve_im; sweep and
         # this module bind their own, so every call here is a fallback
         fallbacks = []
