@@ -76,8 +76,8 @@ class ReducedScalar:
     Mirror solutions also carry the root coordinates (z, t) with x = z^k and
     y = t^k.  embed_full fills in full_field and residual_full, the expanded
     (q-1)-component field pair and its max-norm fixed-point residual.
-    A block solver's x is the float nearest to its exact root, which is all
-    solver.solve_im_reciprocal needs to derive block set q-m from it.
+    A block solver's x is the float nearest to its exact root, so the half-ulp
+    cell of x holds that root; solver.solve_im_reciprocal derives set q-m from it.
     """
 
     x: float
@@ -244,18 +244,14 @@ def _poly_pow(p: list[int], k: int) -> list[int]:
     return r
 
 
-def im_prime_coeffs(params: ModelParams, m: int) -> list[int]:
-    """Exact integer coefficients of D^(k+1) p(z), lowest degree first.
+def im_prime_bases(params: ModelParams, m: int) -> tuple[list[int], list[int]]:
+    """Integer coefficients of D b1(z) and D b2(z), lowest degree first, theta = A/D.
 
-    theta is a float, hence an exact dyadic rational A/D.  Each of the four
-    factors of im_prime_poly_mp is scaled by D, so their products expand in
-    integer arithmetic with no rounding.  The degree is k(k+1)+1; for odd k
-    the top coefficient cancels and is trimmed, leaving degree k(k+1).
+    b1 and b2 are the bases of im_prime_poly_mp; t = b1/b2 (recover_t_from_z).
     """
     InvariantSetId(SetKind.IM_PRIME, m).validate_for(params.q)
     q, k = params.q, params.k
-    theta = Fraction(params.theta)
-    a, d = theta.numerator, theta.denominator
+    a, d = Fraction(params.theta).as_integer_ratio()
     b1 = [0] * (k + 2)
     b1[0] += (q - 2 * m) * d
     b1[1] += m * d
@@ -264,6 +260,21 @@ def im_prime_coeffs(params: ModelParams, m: int) -> list[int]:
     b2 = [0] * (k + 1)
     b2[0] += a + (q - m - 1) * d
     b2[k] += m * d
+    return b1, b2
+
+
+def im_prime_coeffs(params: ModelParams, m: int) -> list[int]:
+    """Exact integer coefficients of D^(k+1) p(z), lowest degree first.
+
+    theta is a float, hence an exact dyadic rational A/D.  Each of the four
+    factors of im_prime_poly_mp is scaled by D (the bases by im_prime_bases),
+    so their products expand in integer arithmetic with no rounding.  The
+    degree is k(k+1)+1; for odd k the top coefficient cancels and is trimmed,
+    leaving degree k(k+1).
+    """
+    b1, b2 = im_prime_bases(params, m)
+    q, k = params.q, params.k
+    a, d = Fraction(params.theta).as_integer_ratio()
     qfac = [a + (m - 1) * d, -m * d]
     pfac = [0] * (k + 2)
     pfac[0] += -(q - 2 * m) * d
@@ -277,13 +288,23 @@ def im_prime_coeffs(params: ModelParams, m: int) -> list[int]:
     return coeffs
 
 
+def im_map_coeffs(params: ModelParams, m: int) -> tuple[int, int, int, int]:
+    """Integers (a, b, c, d) with mobius_map's f(x) = (ax+b)/(cx+d) exactly.
+
+    theta is a float, hence an exact dyadic rational A/D, and
+    a = A+(m-1)D, b = (q-m)D, c = mD, d = A+(q-m-1)D, all positive.
+    """
+    InvariantSetId(SetKind.IM, m).validate_for(params.q)
+    A, D = Fraction(params.theta).as_integer_ratio()
+    return A + (m - 1) * D, (params.q - m) * D, m * D, A + (params.q - m - 1) * D
+
+
 def im_coeffs(params: ModelParams, m: int) -> list[int]:
     """Exact integer coefficients of the block root polynomial T, lowest degree first.
 
-    theta is a float, hence an exact dyadic rational A/D.  With
-    a = A+(m-1)D, b = (q-m)D, c = mD, d = A+(q-m-1)D the map is
-    f(x) = (ax+b)/(cx+d); put P = (ax+b)^k, Q = (cx+d)^k, U = cP + dQ and
-    V = aP + bQ.  Fixed points of the two-step map are the positive roots of
+    With the integers a, b, c and d of im_map_coeffs, f(x) = (ax+b)/(cx+d);
+    put P = (ax+b)^k, Q = (cx+d)^k, U = cP + dQ and V = aP + bQ.  Fixed
+    points of the two-step map are the positive roots of
 
         R(x) = x U(x)^k - V(x)^k                    (degree k^2+1).
 
@@ -302,11 +323,8 @@ def im_coeffs(params: ModelParams, m: int) -> list[int]:
     squarefree where R is, and z = 1 is a root of T of the multiplicity of
     x = 1 in R.
     """
-    InvariantSetId(SetKind.IM, m).validate_for(params.q)
-    q, k = params.q, params.k
-    theta = Fraction(params.theta)
-    A, D = theta.numerator, theta.denominator
-    a, b, c, d = A + (m - 1) * D, (q - m) * D, m * D, A + (q - m - 1) * D
+    k = params.k
+    a, b, c, d = im_map_coeffs(params, m)
     P, Q = _poly_pow([b, a], k), _poly_pow([d, c], k)
     coeffs = [0] * (k * k + 2)
     for i, (p, r) in enumerate(zip(P, Q)):

@@ -15,21 +15,18 @@ and V, so R's coefficients are never formed.  Root counts are therefore
 exact and independent of any grid.  A squarefree certificate modulo a prime
 runs only if the bisection goes deep, which is where a repeated root would
 keep it from ending.  The roots above 1 are the partners of those below it
-(the block value f(x) = y^(1/k), the mirror partner t), in both families:
-F = f^k is decreasing with F(1) = 1 and maps fixed points of F o F to fixed
-points, so it pairs the block roots below 1 one-to-one with those above;
-the mirror system z = N/D of invariants.im_prime_system_residual is
-symmetric in z and t, and N - D = (theta - 1)(t^k - 1) with D > 0, so
-z - 1 and t - 1 have opposite signs on every positive solution and its
-roots pair across 1 the same way.  When the narrow brackets around the
-partners' floats are disjoint, lie above 1 and each shows an exact sign
-change, they are the isolating intervals above 1 and the reversed
-polynomial is not isolated; otherwise it is.  Bracket ends that are exact
-floats stay floats.  Each root is then lifted to its partner value and
-embedded back into the full field system.  Block set q-m is the image of
-block set m under x -> 1/x, so solve_im_reciprocal rounds its roots inside
-the reciprocals of the half-ulp cells of the floats a solve of set m
-returned, each of which holds one root alone, and isolates nothing.
+(the block value y = F(x) with F = f^k, the mirror partner t), in both
+families: F is decreasing with F(1) = 1 and maps fixed points of F o F to
+fixed points, so it pairs the block roots below 1 one-to-one with those
+above; the mirror system z = N/D of invariants.im_prime_system_residual is
+symmetric in z and t, and N - D = (theta - 1)(t^k - 1) with D > 0, so z - 1
+and t - 1 have opposite signs on every positive solution and its roots pair
+across 1 the same way.  Block set q-m is the image of block set m under
+x -> 1/x.  Every root known from another root in these ways is rounded
+inside the floats just outside the exact image of its source float's
+half-ulp cell, once exact signs confirm that bracket (_derived_roots), and
+isolated only where that fails.  Each root is then lifted to its partner
+value and embedded in the full field system.
 
 scan_sign_changes, refine, Bracket and SolverConfig form a generic grid
 scan that no solver calls; perfbench/tracing.py still hooks
@@ -40,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .errors import ConvergenceError, EvaluationError, ParameterError
 from .invariants import (
@@ -48,11 +46,12 @@ from .invariants import (
     SetKind,
     embed_full,
     im_coeffs,
+    im_map_coeffs,
+    im_prime_bases,
     im_prime_coeffs,
     im_prime_poly,  # noqa: F401  unused; perfbench/tracing.py counts its calls here
     im_prime_poly_mp,  # noqa: F401  unused; perfbench/tracing.py counts its calls here
     im_prime_system_residual,
-    mobius_map,
     mobius_pow_k,
     recover_t_from_z,
     two_step_map,  # noqa: F401  unused; perfbench/tracing.py counts its calls here
@@ -176,8 +175,6 @@ class RejectedRoot:
 _CERT_PRIME = 2 ** 61 - 1
 # bisection depth past which _isolate_unit_interval certifies its input
 _CERT_DEPTH = 64
-# relative half-width of the bracket around a partner float
-_PARTNER_WIDTH = 2.0 ** -30
 
 
 def _divide_out_unit_root(coeffs: list[int]) -> list[int]:
@@ -423,6 +420,16 @@ def _shrink(coeffs: list[int], lo: Fraction | float, hi: Fraction | float,
     return lo, hi, s_lo
 
 
+def _floats_around(lo, hi) -> tuple[float, float]:
+    """The floats f_lo <= lo and f_hi >= hi nearest to the ends of [lo, hi]."""
+    f_lo, f_hi = float(lo), float(hi)
+    if f_lo > lo:
+        f_lo = math.nextafter(f_lo, -math.inf)
+    if f_hi < hi:
+        f_hi = math.nextafter(f_hi, math.inf)
+    return f_lo, f_hi
+
+
 def _nearest_float(sign, lo, hi, s_lo: int) -> float:
     """The float nearest to the one root in [lo, hi] of an exact sign function.
 
@@ -434,13 +441,8 @@ def _nearest_float(sign, lo, hi, s_lo: int) -> float:
     """
     if lo == hi:
         return float(lo)
-    # the floats f_lo <= lo < hi <= f_hi nearest to the ends: every float
-    # strictly between them lies strictly inside (lo, hi)
-    f_lo, f_hi = float(lo), float(hi)
-    if f_lo > lo:
-        f_lo = math.nextafter(f_lo, 0.0)
-    if f_hi < hi:
-        f_hi = math.nextafter(f_hi, math.inf)
+    # every float strictly between f_lo and f_hi lies strictly inside (lo, hi)
+    f_lo, f_hi = _floats_around(lo, hi)
     x = _split(f_lo, f_hi)
     while x is not None:
         s = sign(x)
@@ -493,29 +495,37 @@ def _root_bound(coeffs: list[int]) -> float | Fraction:
     return math.ldexp(1.0, exp) if abs(exp) <= 1021 else Fraction(2) ** exp
 
 
-def _paired_brackets(coeffs: list[int], partners: list[float | None],
-                     ) -> list[tuple[float, float]] | None:
-    """Isolating intervals of every root above 1 from the partners of the roots below 1, or None.
+def _ratio_map(num: list[int], den: list[int], k: int = 1):
+    """The exact map v -> (num(v) / den(v))^k at dyadic v, for num and den of one degree."""
+    return lambda v: Fraction(_homogeneous(num, v), _homogeneous(den, v)) ** k
 
-    partners are the floats near the partner roots of the roots below 1,
-    in ascending order of those roots, for a polynomial whose roots above 1
-    are exactly those partners (see _certified_roots).  Returns the brackets
-    y (1 +- _PARTNER_WIDTH), ascending, if they all lie above 1, are
-    disjoint and each shows exact nonzero opposite signs at its ends: each
-    then holds at least one root, and as many brackets as roots leave
-    exactly one for each.  Otherwise None.
+
+def _derived_roots(sign, image, sources: list[float], prev: float) -> list[float] | None:
+    """The roots that image takes the sources' roots to, each as its nearest float, or None.
+
+    sources are floats, each nearest to a root that the exact map image (on
+    dyadic rationals) takes to a root of sign's polynomial, ordered so that
+    those images ascend.  Each bracket runs between the floats just outside
+    the images of the ends of its source's half-ulp cell (the reals nearer
+    to it than to any other float), which holds the source's root.  If the
+    brackets ascend from above prev without overlap, each shows exact
+    nonzero opposite signs at its ends, and the polynomial has as many roots
+    above prev as there are sources, each holds exactly one root, which
+    _nearest_float rounds.  Otherwise None; equal sources overlap.
     """
-    brackets = []
-    prev = 1.0
-    for y in reversed(partners):
-        if y is None:
+    roots = []
+    for x in sources:
+        fx = Fraction(x)
+        ends = [image((fx + Fraction(math.nextafter(x, side))) / 2) for side in (0.0, math.inf)]
+        lo, hi = _floats_around(min(ends), max(ends))
+        if not prev < lo:
             return None
-        lo, hi = y * (1.0 - _PARTNER_WIDTH), y * (1.0 + _PARTNER_WIDTH)
-        if not (prev < lo and _sign_at(coeffs, lo) * _sign_at(coeffs, hi) < 0):
+        s_lo = sign(lo)
+        if not s_lo * sign(hi) < 0:
             return None
-        brackets.append((lo, hi))
+        roots.append(_nearest_float(sign, lo, hi, s_lo))
         prev = hi
-    return brackets
+    return roots
 
 
 def _certified_roots(coeffs: list[int], partner=None, k: int = 1) -> list[float]:
@@ -535,47 +545,37 @@ def _certified_roots(coeffs: list[int], partner=None, k: int = 1) -> list[float]
     sign just inside the bracket is that of T, which below 1 is the sign of
     T / (z - 1)^mu times (-1)^mu, mu the multiplicity of the root 1.
 
-    partner, if given, maps each root in (0, 1) to a float near its partner
-    root, or None: the block map f for block sets (k > 1), so that z = f(x)
-    for each root x = z^k below 1, or the lift to t for mirror sets.  The
-    partners must be all the roots in (1, inf), as they are in both
-    families (see the module docstring).  Those roots then need no
-    isolation when the partner brackets pair up (see _paired_brackets).  If
-    any partner bracket fails (a partner that is None, a bracket not above
-    1, overlapping brackets, or no exact sign change at its ends), or no
-    partner is given, the reversed polynomial is isolated.  So a root above
-    1 that is no root's partner, such as a mirror root without a positive
-    lift, is found only when the pairing falls back.
-
-    Every root is returned, each as its nearest float, so where those floats
-    are strictly increasing the half-ulp cell of each (the reals nearer to it
-    than to any other float) holds its root and no other: a second root in
-    the cell would round to the same float.  solve_im_reciprocal relies on
-    this.
+    partner, if given, is the exact map taking each root below 1 to its
+    partner: F = f^k on x for block sets (k > 1), t = b1/b2 on z for mirror
+    sets.  The partners must be all the roots in (1, inf), as they are in
+    both families (see the module docstring); they are then rounded by
+    _derived_roots.  If that fails, or no partner is given, the reversed
+    polynomial is isolated, so a root above 1 that is no root's partner,
+    such as a mirror root without a positive lift, is found only then.
     """
-    sign_x = _two_step_sign(coeffs, k) if k > 1 else None
     deflated = _divide_out_unit_root(coeffs)
     # below 1, dividing out (z - 1)^mu flips the sign when mu is odd
     flip_below = (len(coeffs) - len(deflated)) % 2 == 1
+    sign = _two_step_sign(coeffs, k) if k > 1 else partial(_sign_at, deflated)
     coeffs = deflated
 
     def nearest(lo, hi):
         lo, hi, s_lo = _shrink(coeffs, lo, hi)
-        if k == 1:
-            return _nearest_float(lambda x: _sign_at(coeffs, x), lo, hi, s_lo)
-        if flip_below and hi <= 1:
-            s_lo = -s_lo
-        return _nearest_float(sign_x, Fraction(lo) ** k, Fraction(hi) ** k, s_lo)
+        if k > 1:
+            if flip_below and hi <= 1:
+                s_lo = -s_lo
+            lo, hi = Fraction(lo) ** k, Fraction(hi) ** k
+        return _nearest_float(sign, lo, hi, s_lo)
 
     low = 1 / _root_bound(coeffs[::-1])
     roots = [nearest(lo or low, hi) for lo, hi in _isolate_unit_interval(coeffs)]
-    above = _paired_brackets(coeffs, [partner(x) for x in roots]) if partner else None
+    above = _derived_roots(sign, partner, roots[::-1], 1.0) if partner else None
     if above is None:
         high = _root_bound(coeffs)
         # exact reciprocals: 1 / Fraction, never a rounded float quotient
-        above = [(1 / Fraction(hi), 1 / Fraction(lo) if lo else high)
+        above = [nearest(1 / Fraction(hi), 1 / Fraction(lo) if lo else high)
                  for lo, hi in reversed(_isolate_unit_interval(coeffs[::-1]))]
-    return roots + [nearest(lo, hi) for lo, hi in above]
+    return roots + above
 
 
 def solve_im(params: ModelParams, m: int) -> list[ReducedScalar]:
@@ -590,10 +590,10 @@ def solve_im(params: ModelParams, m: int) -> list[ReducedScalar]:
     params.require_solver_regime()
     set_id = InvariantSetId(SetKind.IM, m)
     set_id.validate_for(params.q)
-    # the partner y = f(x)^k of a root x is a root of R, so f(x) is one of T
+    a, b, c, d = im_map_coeffs(params, m)
     solutions = [ReducedScalar(x=x, y=mobius_pow_k(x, params, m), set_id=set_id)
                  for x in _certified_roots(im_coeffs(params, m),
-                                           lambda x: mobius_map(x, params, m), params.k)]
+                                           _ratio_map([b, a], [d, c], params.k), params.k)]
     # x = 1 is always a fixed point, and f(1) = 1 exactly
     solutions.append(ReducedScalar(x=1.0, y=1.0, set_id=set_id))
     solutions.sort(key=lambda s: s.x)
@@ -602,50 +602,30 @@ def solve_im(params: ModelParams, m: int) -> list[ReducedScalar]:
     return solutions
 
 
-def _reciprocal_cell(x: float) -> tuple[Fraction, Fraction]:
-    """(1/above, 1/below), for (below, above) the reals nearer to x than to any other float."""
-    below = (Fraction(x) + Fraction(math.nextafter(x, 0.0))) / 2
-    above = (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
-    return 1 / above, 1 / below
-
-
 def solve_im_reciprocal(params: ModelParams, m: int,
                         solutions: list[ReducedScalar]) -> list[ReducedScalar]:
     """All solutions of block set im:q-m, from solutions = solve_im(params, m).
 
     The same as solve_im(params, q - m), bit for bit, without isolating a
-    root.  The map x -> 1/x exchanges the two sets: with the set index m
-    replaced by q-m, a, b, c and d of invariants.im_coeffs become d, c, b
-    and a, so im_coeffs(params, q-m) is im_coeffs(params, m) reversed and
-    negated, and sign R_(q-m)(x) = -sign R_m(1/x) for x > 0.  The non-unit
-    solutions of im:q-m are therefore the reciprocals of those of im:m, in
-    reverse order.  solve_im returns every positive root of R_m as its
-    nearest float, so where the xs are strictly increasing the half-ulp cell
-    of each x holds that root of R_m alone (see _certified_roots), and the
-    reciprocal of the cell holds one root of R_(q-m) alone.  Each derived
-    root is rounded to its nearest float by exact signs of R_(q-m) inside
-    that reciprocal cell.  Where the xs are not strictly increasing, or a
-    cell shows no exact nonzero opposite signs of R_(q-m) at its ends, the
-    set is solved by solve_im(params, q - m) instead.
+    root.  With the set index m replaced by q-m, a, b, c and d of
+    invariants.im_coeffs become d, c, b and a, so im_coeffs(params, q-m) is
+    im_coeffs(params, m) reversed and negated, and sign R_(q-m)(x) =
+    -sign R_m(1/x) for x > 0: x -> 1/x maps the roots of R_m, each of which
+    solve_im returns as its nearest float, onto those of R_(q-m), in reverse
+    order.  _derived_roots rounds each inside the reciprocal of a half-ulp
+    cell; the root 1 has odd multiplicity, so its bracket too shows a sign
+    change.  Where that fails, the set is solved by solve_im(params, q - m).
     """
     params.require_solver_regime()
     InvariantSetId(SetKind.IM, m).validate_for(params.q)
     set_id = InvariantSetId(SetKind.IM, params.q - m)
     sign = _two_step_sign(im_coeffs(params, set_id.m), params.k)
-    xs = [sol.x for sol in solutions]
-    if not all(a < b for a, b in zip(xs, xs[1:])):
+    xs = _derived_roots(sign, lambda v: 1 / v, [sol.x for sol in reversed(solutions)], 0.0)
+    if xs is None:
         return solve_im(params, set_id.m)
-    derived = []
-    for x in reversed(xs):
-        if x == 1.0:
-            derived.append(ReducedScalar(x=1.0, y=1.0, set_id=set_id))
-            continue
-        lo, hi = _reciprocal_cell(x)
-        s_lo = sign(lo)
-        if not s_lo * sign(hi) < 0:
-            return solve_im(params, set_id.m)
-        x = _nearest_float(sign, lo, hi, s_lo)
-        derived.append(ReducedScalar(x=x, y=mobius_pow_k(x, params, set_id.m), set_id=set_id))
+    # y = f(1)^k = 1 exactly, as in solve_im's unit row
+    derived = [ReducedScalar(x=x, y=1.0 if x == 1.0 else mobius_pow_k(x, params, set_id.m),
+                             set_id=set_id) for x in xs]
     for sol in derived:
         embed_full(sol, params)
     return derived
@@ -669,8 +649,9 @@ def solve_im_prime(params: ModelParams, m: int,
     set_id = InvariantSetId(SetKind.IM_PRIME, m)
     set_id.validate_for(params.q)
 
-    roots = _certified_roots(im_prime_coeffs(params, m),
-                             lambda z: recover_t_from_z(z, params, m))
+    b1, b2 = im_prime_bases(params, m)
+    # b2 padded to the degree of b1, so that both scale alike
+    roots = _certified_roots(im_prime_coeffs(params, m), _ratio_map(b1, b2 + [0]))
     roots.append(1.0)  # p(1) = 0 exactly
 
     solutions = []

@@ -24,7 +24,6 @@ from gibbstree.invariants import (
     im_prime_coeffs,
     im_prime_system_residual,
     mobius_pow_k,
-    recover_t_from_z,
 )
 from gibbstree import solver
 from gibbstree.solver import (
@@ -391,6 +390,20 @@ def isolations(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def fake_images(monkeypatch):
+    """Install fake(v, y), which replaces the image y of each cell end v in every derivation."""
+    def install(fake):
+        derived = solver._derived_roots
+
+        def faked(sign, image, sources, prev):
+            return derived(sign, lambda v: fake(v, image(v)), sources, prev)
+
+        monkeypatch.setattr(solver, "_derived_roots", faked)
+
+    return install
+
+
 class TestExactRootIsolation:
     def test_roots_on_both_sides_of_one(self):
         # (3z-1)(z-2)(z-5)(z+1): the negative root is ignored
@@ -424,10 +437,10 @@ class TestExactRootIsolation:
         assert _certified_roots(_poly([1, 1], [1, 1], [-1, 3])) == [1 / 3]
 
     @pytest.mark.parametrize("partner", [
-        lambda x: None,   # no partner
-        lambda x: 1.5,    # below the root 3: no sign change across its bracket
-        lambda x: 3.5,    # above it: no sign change either
-        lambda x: 3.0,    # the true partner
+        lambda v: -1 / v,      # no positive partner
+        lambda v: 1 / (2 * v),  # 1.5, below the root 3: no sign change across its bracket
+        lambda v: 7 / (6 * v),  # 3.5, above it: no sign change either
+        lambda v: 1 / v,       # the true partner
     ])
     def test_partner_bracket_falls_back(self, isolations, partner):
         # (3z-1)(z-3)(z+1): the partners must be every root above 1, as here,
@@ -435,11 +448,12 @@ class TestExactRootIsolation:
         # falls back to it; both give the same floats
         c = _poly([-1, 3], [-3, 1], [1, 1])
         assert _certified_roots(c, partner) == [1 / 3, 3.0]
-        assert len(isolations) == (1 if partner(1 / 3) == 3.0 else 2)
+        assert len(isolations) == (1 if partner(Fraction(1, 3)) == 3 else 2)
 
     @pytest.mark.parametrize("partner, isolated", [
-        (lambda x: 1 / x, 1),   # the true partners
-        (lambda x: 3.0, 2),     # both brackets around 3: they overlap
+        (lambda v: 1 / v, 1),   # the true partners
+        # each cell onto a neighbourhood of 3, with a sign change: they overlap
+        (lambda v: 3 + v - Fraction(0.2 if v < 0.25 else 1 / 3), 2),
     ], ids=["true", "overlapping"])
     def test_overlapping_partner_brackets_fall_back(self, isolations, partner, isolated):
         # (3z-1)(5z-1)(z-3)(z-5)(z+1): two roots on each side of 1
@@ -448,18 +462,23 @@ class TestExactRootIsolation:
         assert len(isolations) == isolated
 
     def test_partner_brackets_in_both_families(self, monkeypatch):
-        # each root above 1 is shrunk from a bracket of relative width ~2^-29
-        # around its partner, and comes out bit for bit as from its
-        # isolating interval
-        widths = []
-        shrink = solver._shrink
+        # each root above 1 is rounded inside a bracket of a few floats
+        # around the image of its partner's cell, never shrunk, and comes
+        # out bit for bit as from its isolating interval
+        spans, shrunk = [], []
+        shrink, nearest = solver._shrink, solver._nearest_float
 
-        def recording(coeffs, lo, hi):
-            if lo > 1:
-                widths.append(float(hi - lo) / float(lo))
+        def recording_shrink(coeffs, lo, hi):
+            shrunk.append(lo > 1)
             return shrink(coeffs, lo, hi)
 
-        monkeypatch.setattr(solver, "_shrink", recording)
+        def recording_nearest(sign, lo, hi, s_lo):
+            if lo > 1:
+                spans.append(ulp_distance(lo, hi))
+            return nearest(sign, lo, hi, s_lo)
+
+        monkeypatch.setattr(solver, "_shrink", recording_shrink)
+        monkeypatch.setattr(solver, "_nearest_float", recording_nearest)
         p = ModelParams(q=5, k=6, theta=0.1)
         assert [s.x.hex() for s in solve_im(p, 2)] == [
             "0x1.8d0424ac9d416p-4", "0x1.0000000000000p+0", "0x1.8aec624d97443p+2"]
@@ -467,7 +486,8 @@ class TestExactRootIsolation:
         assert [s.z.hex() for s in sols] == [
             "0x1.90c00c9b7921dp-1", "0x1.0000000000000p+0", "0x1.23d7a0a60793fp+0"]
         assert rejected == []
-        assert len(widths) == 2 and all(w < 2.0 ** -28 for w in widths)
+        assert len(spans) == 2 and all(1 <= s <= 3 for s in spans)
+        assert shrunk == [False, False]
         assert _certified_roots(im_coeffs(p, 2), k=6)[-1].hex() == "0x1.8aec624d97443p+2"
         assert _certified_roots(im_prime_coeffs(p, 2))[-1].hex() == "0x1.23d7a0a60793fp+0"
 
@@ -481,15 +501,14 @@ class TestExactRootIsolation:
         assert len(isolations) == 1
 
     @pytest.mark.parametrize("fake", [
-        lambda y: 1.1,          # no root of T in its bracket: no sign change
-        lambda y: 1.0 / y,      # below 1
+        lambda v, y: Fraction(11, 10),  # no root of R in its bracket: no sign change
+        lambda v, y: 1 / y,             # below 1
     ], ids=["no_sign_change", "below_one"])
-    def test_block_pairing_falls_back(self, monkeypatch, isolations, fake):
+    def test_block_pairing_falls_back(self, fake_images, isolations, fake):
         p = ModelParams(q=5, k=6, theta=0.1)
         want = [(s.x.hex(), s.y.hex()) for s in solve_im(p, 2)]
         isolations.clear()
-        mobius_map = solver.mobius_map
-        monkeypatch.setattr(solver, "mobius_map", lambda x, params, m: fake(mobius_map(x, params, m)))
+        fake_images(fake)
         assert [(s.x.hex(), s.y.hex()) for s in solve_im(p, 2)] == want
         assert len(isolations) == 2
 
@@ -502,18 +521,30 @@ class TestExactRootIsolation:
         assert len(isolations) == 1
 
     @pytest.mark.parametrize("fake", [
-        lambda z, t: 1.1,       # no root of the polynomial in its bracket: no sign change
-        lambda z, t: 1.0 / t,   # below 1
-        lambda z, t: z,         # a root, with a sign change, but below 1
+        lambda z, t: Fraction(11, 10),  # no root of the polynomial in its bracket: no sign change
+        lambda z, t: 1 / t,             # below 1
+        lambda z, t: z,                 # a root, with a sign change, but below 1
     ], ids=["no_sign_change", "below_one", "root_below_one"])
-    def test_mirror_pairing_falls_back(self, isolations, fake):
+    def test_mirror_pairing_falls_back(self, fake_images, isolations, fake):
         p = ModelParams(q=5, k=6, theta=0.1)
-        want = [s.z.hex() for s in solve_im_prime(p, 2)[0] if s.z != 1.0]
+        want = [s.z.hex() for s in solve_im_prime(p, 2)[0]]
         isolations.clear()
-        roots = _certified_roots(im_prime_coeffs(p, 2),
-                                 lambda z: fake(z, recover_t_from_z(z, p, 2)))
-        assert [z.hex() for z in roots] == want
+        fake_images(fake)
+        sols, rejected = solve_im_prime(p, 2)
+        assert [s.z.hex() for s in sols] == want and rejected == []
         assert len(isolations) == 2
+
+    @pytest.mark.parametrize("q, k", [(7, 9), (8, 8), (11, 11)])
+    def test_no_fallback_at_theta_critical(self, isolations, q, k):
+        # at float(theta_cr) the roots beside 1 lie within about 1e-9 of it,
+        # and still every partner bracket lies above 1
+        p = ModelParams(q=q, k=k, theta=theta_critical(q, k))
+        solves = [("im", m, partial(solve_im, p, m)) for m in range(1, q)]
+        solves += [("imprime", m, partial(solve_im_prime, p, m)) for m in range(1, (q - 1) // 2 + 1)]
+        for kind, m, solve in solves:
+            isolations.clear()
+            solve()
+            assert len(isolations) == 1, (kind, m)
 
     def test_unit_root_divided_out_with_multiplicity(self):
         assert _divide_out_unit_root(_poly([-1, 1], [-1, 1], [-1, 1], [2, 1])) == [2, 1]
@@ -558,9 +589,9 @@ class TestExactRootIsolation:
                 value = partial(two_step_value, p, m)
             else:
                 m = int(rng.integers(1, (q - 1) // 2 + 1))
-                c = _divide_out_unit_root(im_prime_coeffs(p, m))
-                roots = _certified_roots(c, partial(recover_t_from_z, params=p, m=m))
-                value = partial(horner, c)
+                sols, rejected = solve_im_prime(p, m)
+                roots = [s.z for s in sols if s.z != 1.0] + [r.z for r in rejected]
+                value = partial(horner, _divide_out_unit_root(im_prime_coeffs(p, m)))
             for x in roots:
                 below = (Fraction(x) + Fraction(math.nextafter(x, 0.0))) / 2
                 above = (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
@@ -704,20 +735,18 @@ class TestReciprocalSets:
         assert block_solves == []
 
     @pytest.mark.parametrize("case", ["no_sign_change", "moved_one_ulp", "duplicated"])
-    def test_fallback_when_a_bracket_shows_no_sign_change(self, monkeypatch, block_solves, case):
+    def test_fallback_when_a_bracket_shows_no_sign_change(self, fake_images, block_solves, case):
         p = ModelParams(q=5, k=6, theta=0.1)
         primary = solve_im(p, 2)
         want = _hexes(solve_im(p, 3))
         if case == "no_sign_change":
-            # each cell moved beside its root
-            cell = solver._reciprocal_cell
-            monkeypatch.setattr(solver, "_reciprocal_cell",
-                                lambda x: (cell(x)[1], 2 * cell(x)[1]))
+            # each image moved beside its root
+            fake_images(lambda v, y: y * (1 + Fraction(1, 2 ** 40)))
         elif case == "moved_one_ulp":
             # the root is no longer in the cell of the smallest x
             primary[0] = replace(primary[0], x=math.nextafter(primary[0].x, 0.0))
         else:
-            # xs not strictly increasing: a cell may hold two roots
+            # xs not strictly increasing: equal images overlap
             primary.insert(0, primary[0])
         block_solves.clear()
         assert _hexes(solve_im_reciprocal(p, 2, primary)) == want
