@@ -255,12 +255,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    if getattr(args, "func", None) is None:
-        parser.print_help()
-        return EXIT_USAGE
-    try:
+        if getattr(args, "func", None) is None:
+            parser.print_help()
+            return EXIT_USAGE
         return args.func(args, parser)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE

@@ -47,5 +47,5 @@ class EvaluationError(GibbsTreeError):
 
     Raised by the grid scan when a scanned function returns a non-finite
     value at a grid node, and by the exact polynomial evaluation for a point
-    that is neither dyadic nor the reciprocal of a dyadic.
+    that is not dyadic.
     """

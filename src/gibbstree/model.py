@@ -8,7 +8,8 @@ root sitting on the even sublattice.
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import DomainError, HypothesisError, ParameterError, ShapeError
@@ -71,6 +72,16 @@ def _components(values) -> tuple[float, ...]:
         raise ShapeError(f"field vectors must be sequences of numbers, got {values!r}") from None
 
 
+def _read_only(components: tuple[float, ...]) -> np.ndarray:
+    """The components as a read-only float64 ndarray."""
+    import numpy as np
+
+    arr = np.array(components)
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True)
 class PeriodTwoField:
     """Field pair (h_even, h_odd) applied by generation parity; root parity is even.
 
@@ -81,7 +92,8 @@ class PeriodTwoField:
     components.
     """
 
-    __slots__ = ("even", "odd", "_arrays")
+    even: tuple[float, ...]
+    odd: tuple[float, ...]
 
     def __init__(self, h_even, h_odd) -> None:
         even, odd = _components(h_even), _components(h_odd)
@@ -96,42 +108,17 @@ class PeriodTwoField:
             raise DomainError("field vectors have non-finite entries")
         object.__setattr__(self, "even", even)
         object.__setattr__(self, "odd", odd)
-        object.__setattr__(self, "_arrays", None)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PeriodTwoField):
-            return NotImplemented
-        return self.even == other.even and self.odd == other.odd
-
-    def __hash__(self) -> int:
-        return hash((self.even, self.odd))
 
     def __repr__(self) -> str:
         return f"PeriodTwoField(h_even={list(self.even)!r}, h_odd={list(self.odd)!r})"
 
-    def _read_only_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._arrays is None:
-            import numpy as np
-
-            arrays = np.array(self.even), np.array(self.odd)
-            for arr in arrays:
-                arr.flags.writeable = False
-            object.__setattr__(self, "_arrays", arrays)
-        return self._arrays
-
-    @property
+    @cached_property
     def h_even(self) -> np.ndarray:
-        return self._read_only_arrays()[0]
+        return _read_only(self.even)
 
-    @property
+    @cached_property
     def h_odd(self) -> np.ndarray:
-        return self._read_only_arrays()[1]
+        return _read_only(self.odd)
 
     @classmethod
     def zero(cls, q: int) -> "PeriodTwoField":

@@ -300,8 +300,16 @@ def _isolate_unit_interval(coeffs: list[int]) -> list[tuple[float | Fraction, fl
     return sorted(found)
 
 
-def _scaled_value(coeffs: list[int], num: int, e: int) -> int:
-    """2^(e*n) c(x) at x = num / 2^e for c of degree n: Horner's rule with shifts."""
+def _homogeneous(coeffs: list[int], x: Fraction | float) -> int:
+    """den^n c(num/den) for c of degree n at a dyadic point x = num/den: Horner's rule with shifts.
+
+    Every point the solver evaluates is dyadic: floats, their midpoints and
+    bisection points.
+    """
+    num, den = x.as_integer_ratio()
+    if den & (den - 1):
+        raise EvaluationError(f"exact evaluation needs a dyadic point, got {x}")
+    e = den.bit_length() - 1
     v, shift = coeffs[-1], 0
     for c in reversed(coeffs[:-1]):
         shift += e
@@ -309,25 +317,8 @@ def _scaled_value(coeffs: list[int], num: int, e: int) -> int:
     return v
 
 
-def _homogeneous(coeffs: list[int], x: Fraction | float) -> int:
-    """den^n c(num/den) for c of degree n at x = num/den, dyadic or the reciprocal of a dyadic.
-
-    At a reciprocal x = 2^j/den the sum c_i num^i den^(n-i) is the reversed
-    polynomial at the dyadic point den/2^j, so both cases are evaluated by
-    shifts.  Every point the solver evaluates is of one of the two kinds:
-    floats, their midpoints, bisection points, and the reciprocal ends of
-    the brackets above 1.
-    """
-    num, den = x.as_integer_ratio()
-    if den & (den - 1):
-        coeffs, num, den = coeffs[::-1], den, num
-        if den & (den - 1):
-            raise EvaluationError(f"exact evaluation needs a dyadic point or its reciprocal, got {x}")
-    return _scaled_value(coeffs, num, den.bit_length() - 1)
-
-
 def _sign_at(coeffs: list[int], x: Fraction | float) -> int:
-    """Exact sign of the polynomial at a positive point (see _homogeneous)."""
+    """Exact sign of the polynomial at a positive dyadic point (see _homogeneous)."""
     v = _homogeneous(coeffs, x)
     return (v > 0) - (v < 0)
 
@@ -531,18 +522,20 @@ def _derived_roots(sign, image, sources: list[float], prev: float) -> list[float
 def _certified_roots(coeffs: list[int], partner=None, k: int = 1) -> list[float]:
     """Every positive root other than 1 of an integer polynomial, ascending.
 
-    Divides out the root 1 with its multiplicity.  Roots in (0, 1) are
-    isolated directly; roots in (1, inf) are the reciprocals of the roots in
-    (0, 1) of the reversed polynomial.  Root bounds of the polynomial and of
-    its reverse close the brackets that reach 0 or infinity.  A repeated
-    positive root raises ConvergenceError (see _isolate_unit_interval); one
-    off the positive axis does not, as it changes no count.  Each root is
-    returned as the float nearest to it, whatever bracket it is shrunk
-    from.  With k > 1 the coefficients are those of T(z) = z U(z^k) - V(z^k)
-    (see invariants.im_coeffs), and each root z is returned as the float
-    nearest to x = z^k, a root of R(x) = x U(x)^k - V(x)^k: the bracket of z
-    is raised to the k-th power and rounded by the exact signs of R.  Its
-    sign just inside the bracket is that of T, which below 1 is the sign of
+    Divides out the root 1 with its multiplicity.  The roots in (0, 1) of a
+    polynomial are isolated, a bracket that reaches 0 is closed by the root
+    bound of the reversed polynomial, and each is shrunk; the roots in
+    (1, inf) are the reciprocals of those in (0, 1) of the reversed
+    polynomial, which at w > 0 has the sign of the polynomial at 1/w.  So
+    every exact sign is taken at a dyadic point.  A repeated positive root
+    raises ConvergenceError (see _isolate_unit_interval); one off the
+    positive axis does not, as it changes no count.  Each root is returned
+    as the float nearest to it, whatever bracket it is shrunk from.  With
+    k > 1 the coefficients are those of T(z) = z U(z^k) - V(z^k) (see
+    invariants.im_coeffs), and each root z is returned as the float nearest
+    to x = z^k, a root of R(x) = x U(x)^k - V(x)^k: the bracket of z is
+    raised to the k-th power and rounded by the exact signs of R.  Its sign
+    just inside the bracket is that of T, which below 1 is the sign of
     T / (z - 1)^mu times (-1)^mu, mu the multiplicity of the root 1.
 
     partner, if given, is the exact map taking each root below 1 to its
@@ -554,28 +547,39 @@ def _certified_roots(coeffs: list[int], partner=None, k: int = 1) -> list[float]
     such as a mirror root without a positive lift, is found only then.
     """
     deflated = _divide_out_unit_root(coeffs)
-    # below 1, dividing out (z - 1)^mu flips the sign when mu is odd
-    flip_below = (len(coeffs) - len(deflated)) % 2 == 1
     sign = _two_step_sign(coeffs, k) if k > 1 else partial(_sign_at, deflated)
-    coeffs = deflated
+    # below 1, dividing out (z - 1)^mu flips the sign of T when mu is odd
+    flip = -1 if k > 1 and (len(coeffs) - len(deflated)) % 2 else 1
 
-    def nearest(lo, hi):
-        lo, hi, s_lo = _shrink(coeffs, lo, hi)
+    def unit_brackets(c: list[int]) -> list[tuple[Fraction | float, Fraction | float, int]]:
+        # the shrunk brackets (lo, hi, s_lo) of the roots of c in (0, 1), ascending
+        low = 1 / _root_bound(c[::-1])
+        return [_shrink(c, lo or low, hi) for lo, hi in _isolate_unit_interval(c)]
+
+    def nearest(lo, hi, s_lo: int) -> float:
         if k > 1:
-            if flip_below and hi <= 1:
-                s_lo = -s_lo
             lo, hi = Fraction(lo) ** k, Fraction(hi) ** k
         return _nearest_float(sign, lo, hi, s_lo)
 
-    low = 1 / _root_bound(coeffs[::-1])
-    roots = [nearest(lo or low, hi) for lo, hi in _isolate_unit_interval(coeffs)]
+    roots = [nearest(lo, hi, flip * s) for lo, hi, s in unit_brackets(deflated)]
     above = _derived_roots(sign, partner, roots[::-1], 1.0) if partner else None
     if above is None:
-        high = _root_bound(coeffs)
-        # exact reciprocals: 1 / Fraction, never a rounded float quotient
-        above = [nearest(1 / Fraction(hi), 1 / Fraction(lo) if lo else high)
-                 for lo, hi in reversed(_isolate_unit_interval(coeffs[::-1]))]
+        # w -> 1/w reverses each bracket, and with it the sign just inside
+        # its low end; 1 / Fraction keeps the reciprocals exact
+        above = [nearest(1 / Fraction(hi), 1 / Fraction(lo), -s)
+                 for lo, hi, s in reversed(unit_brackets(deflated[::-1]))]
     return roots + above
+
+
+def _block_solutions(params: ModelParams, set_id: InvariantSetId,
+                     xs: list[float]) -> list[ReducedScalar]:
+    """The block rows (x, f(x)^k) of set_id at the ascending fixed points xs, embedded."""
+    # x = 1 is always a fixed point, and f(1)^k = 1 exactly
+    solutions = [ReducedScalar(x=x, y=1.0 if x == 1.0 else mobius_pow_k(x, params, set_id.m),
+                               set_id=set_id) for x in xs]
+    for sol in solutions:
+        embed_full(sol, params)
+    return solutions
 
 
 def solve_im(params: ModelParams, m: int) -> list[ReducedScalar]:
@@ -591,15 +595,8 @@ def solve_im(params: ModelParams, m: int) -> list[ReducedScalar]:
     set_id = InvariantSetId(SetKind.IM, m)
     set_id.validate_for(params.q)
     a, b, c, d = im_map_coeffs(params, m)
-    solutions = [ReducedScalar(x=x, y=mobius_pow_k(x, params, m), set_id=set_id)
-                 for x in _certified_roots(im_coeffs(params, m),
-                                           _ratio_map([b, a], [d, c], params.k), params.k)]
-    # x = 1 is always a fixed point, and f(1) = 1 exactly
-    solutions.append(ReducedScalar(x=1.0, y=1.0, set_id=set_id))
-    solutions.sort(key=lambda s: s.x)
-    for sol in solutions:
-        embed_full(sol, params)
-    return solutions
+    xs = _certified_roots(im_coeffs(params, m), _ratio_map([b, a], [d, c], params.k), params.k)
+    return _block_solutions(params, set_id, sorted(xs + [1.0]))
 
 
 def solve_im_reciprocal(params: ModelParams, m: int,
@@ -623,12 +620,7 @@ def solve_im_reciprocal(params: ModelParams, m: int,
     xs = _derived_roots(sign, lambda v: 1 / v, [sol.x for sol in reversed(solutions)], 0.0)
     if xs is None:
         return solve_im(params, set_id.m)
-    # y = f(1)^k = 1 exactly, as in solve_im's unit row
-    derived = [ReducedScalar(x=x, y=1.0 if x == 1.0 else mobius_pow_k(x, params, set_id.m),
-                             set_id=set_id) for x in xs]
-    for sol in derived:
-        embed_full(sol, params)
-    return derived
+    return _block_solutions(params, set_id, xs)
 
 
 def solve_im_prime(params: ModelParams, m: int,

@@ -546,6 +546,61 @@ class TestExactRootIsolation:
             solve()
             assert len(isolations) == 1, (kind, m)
 
+    @pytest.mark.parametrize("factors, roots", [
+        (([-3, 2], [-19, 10], [1, 1]), [1.5, 1.9]),
+        (([-1, 3], [-3, 2], [-19, 10], [-7, 1]), [1 / 3, 1.5, 1.9, 7.0]),
+    ], ids=["above_one", "both_sides"])
+    def test_roots_above_one_take_signs_at_dyadics(self, monkeypatch, factors, roots):
+        # the reversed polynomial's brackets end at points such as 3/4, whose
+        # reciprocals are not dyadic; every exact sign is still taken at a
+        # dyadic point
+        dens = []
+        homogeneous = solver._homogeneous
+
+        def recording(coeffs, x):
+            dens.append(x.as_integer_ratio()[1])
+            return homogeneous(coeffs, x)
+
+        monkeypatch.setattr(solver, "_homogeneous", recording)
+        assert [r.hex() for r in _certified_roots(_poly(*factors))] == [r.hex() for r in roots]
+        assert dens and all(d & (d - 1) == 0 for d in dens)
+
+    def test_reversed_route_matches_the_partner_route(self, monkeypatch):
+        # with every partner derivation refused, each root above 1 is
+        # isolated on the reversed polynomial, and every block and mirror
+        # solve comes out bit for bit as from the partners
+        def hexes(p):
+            rows = [(s.x.hex(), s.y.hex(), s.residual_full.hex())
+                    for m in range(1, p.q) for s in solve_im(p, m)]
+            for m in range(1, (p.q - 1) // 2 + 1):
+                sols, rejected = solve_im_prime(p, m)
+                rows += [(s.z.hex(), s.t.hex(), s.x.hex(), s.y.hex(), s.residual_full.hex())
+                         for s in sols]
+                rows += [(r.z.hex(), r.reason) for r in rejected]
+            return rows
+
+        rng = np.random.default_rng(431)
+        points = []
+        for _ in range(6):
+            k = int(rng.integers(3, 10))
+            q = int(rng.integers(3, k + 1))
+            t_cr = theta_critical(q, k)
+            for theta in (t_cr, t_cr * (1 - 1e-9), t_cr * (1 + 1e-9), rng.uniform(0.02, 0.98)):
+                points.append(ModelParams(q=q, k=k, theta=theta))
+        want = [hexes(p) for p in points]
+        derived = solver._derived_roots
+        refused = []
+
+        def refusing(sign, image, sources, prev):
+            if prev == 1.0:
+                refused.append(len(sources))
+                return None
+            return derived(sign, image, sources, prev)
+
+        monkeypatch.setattr(solver, "_derived_roots", refusing)
+        assert [hexes(p) for p in points] == want
+        assert sum(refused) > 0
+
     def test_unit_root_divided_out_with_multiplicity(self):
         assert _divide_out_unit_root(_poly([-1, 1], [-1, 1], [-1, 1], [2, 1])) == [2, 1]
 
@@ -621,32 +676,33 @@ class TestExactSign:
         return acc
 
     def test_matches_fraction_horner(self):
-        # at dyadic points and at reciprocals of dyadic points, the shift-only
-        # evaluation is den^n c(x) exactly
+        # at dyadic points, the shift-only evaluation is den^n c(x) exactly
         rng = np.random.default_rng(223)
         for _ in range(40):
             n = int(rng.integers(1, 13))
             c = [int(v) for v in rng.integers(-2 ** 60, 2 ** 60, size=n + 1)]
             c[-1] = c[-1] or 1
             for _ in range(6):
-                u = Fraction(int(rng.integers(1, 2 ** 53)), 2 ** int(rng.integers(0, 70)))
-                for x in (u, 1 / u):
-                    want = self._horner(c, x)
-                    assert _homogeneous(c, x) == x.denominator ** n * want
-                    assert _sign_at(c, x) == (want > 0) - (want < 0)
-            assert _sign_at(c, float(u)) == _sign_at(c, u)
+                x = Fraction(int(rng.integers(1, 2 ** 53)), 2 ** int(rng.integers(0, 70)))
+                want = self._horner(c, x)
+                assert _homogeneous(c, x) == x.denominator ** n * want
+                assert _sign_at(c, x) == (want > 0) - (want < 0)
+            assert _sign_at(c, float(x)) == _sign_at(c, x)
 
     def test_zero_at_exact_roots(self):
-        # a dyadic root 5/2^7 and a reciprocal one 2^9/3, in both orders
+        # a dyadic root 5/2^7, and 2^9/3 as the dyadic root 3/2^9 of the
+        # reversed polynomial, in both orders
         for c in (_poly([-5, 2 ** 7], [-2 ** 9, 3], [7, -1, 4]),
                   _poly([-2 ** 9, 3], [-5, 2 ** 7])):
             assert _sign_at(c, Fraction(5, 2 ** 7)) == 0
-            assert _sign_at(c, Fraction(2 ** 9, 3)) == 0
-            assert _sign_at(c, 1 / (Fraction(3, 2 ** 9) + Fraction(1, 2 ** 50))) != 0
+            assert _sign_at(c[::-1], Fraction(3, 2 ** 9)) == 0
+            assert _sign_at(c[::-1], Fraction(3, 2 ** 9) + Fraction(1, 2 ** 50)) != 0
 
     def test_other_points_refused(self):
-        with pytest.raises(EvaluationError):
-            _sign_at([1, 2, 3], Fraction(3, 5))
+        # reciprocals of dyadic points included
+        for x in (Fraction(3, 5), Fraction(2 ** 9, 3), 1 / Fraction(3, 2 ** 9)):
+            with pytest.raises(EvaluationError):
+                _sign_at([1, 2, 3], x)
 
 
 def _reciprocal_draws(n: int, q_max: int, k_max: int, seed: int):
@@ -677,8 +733,9 @@ class TestReciprocalSets:
         assert checked == {True, False}
 
     def test_sign_relation_at_dyadics_and_reciprocals(self):
-        # sign R_(q-m)(x) = -sign R_m(1/x), with R from its defining formula,
-        # and the solver's exact sign function agrees at both kinds of point
+        # sign R_(q-m)(x) = -sign R_m(1/x), with R from its defining formula
+        # at both kinds of point, and the solver's exact sign functions agree
+        # at whichever of x and 1/x is dyadic
         def sign(v):
             return (v > 0) - (v < 0)
 
@@ -693,7 +750,10 @@ class TestReciprocalSets:
             for x in points:
                 s = sign(two_step_value(p, p.q - m, x))
                 assert s == -sign(two_step_value(p, m, 1 / x)) != 0
-                assert sign_qm(x) == s and sign_m(1 / x) == -s
+                if x.denominator & (x.denominator - 1) == 0:
+                    assert sign_qm(x) == s
+                else:
+                    assert sign_m(1 / x) == -s
 
     def test_derived_set_is_the_direct_solve(self):
         for p in _reciprocal_draws(40, 7, 16, seed=419):
