@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from itertools import zip_longest
 
 from .errors import DomainError, HypothesisError, ParameterError
@@ -251,7 +250,7 @@ def im_prime_bases(params: ModelParams, m: int) -> tuple[list[int], list[int]]:
     """
     InvariantSetId(SetKind.IM_PRIME, m).validate_for(params.q)
     q, k = params.q, params.k
-    a, d = Fraction(params.theta).as_integer_ratio()
+    a, d = params.theta.as_integer_ratio()
     b1 = [0] * (k + 2)
     b1[0] += (q - 2 * m) * d
     b1[1] += m * d
@@ -274,7 +273,7 @@ def im_prime_coeffs(params: ModelParams, m: int) -> list[int]:
     """
     b1, b2 = im_prime_bases(params, m)
     q, k = params.q, params.k
-    a, d = Fraction(params.theta).as_integer_ratio()
+    a, d = params.theta.as_integer_ratio()
     qfac = [a + (m - 1) * d, -m * d]
     pfac = [0] * (k + 2)
     pfac[0] += -(q - 2 * m) * d
@@ -295,7 +294,7 @@ def im_map_coeffs(params: ModelParams, m: int) -> tuple[int, int, int, int]:
     a = A+(m-1)D, b = (q-m)D, c = mD, d = A+(q-m-1)D, all positive.
     """
     InvariantSetId(SetKind.IM, m).validate_for(params.q)
-    A, D = Fraction(params.theta).as_integer_ratio()
+    A, D = params.theta.as_integer_ratio()
     return A + (m - 1) * D, (params.q - m) * D, m * D, A + (params.q - m - 1) * D
 
 

@@ -398,3 +398,23 @@ class TestRuntimeDependencies:
         )
         proc = run_fresh(script, tmp_path)
         assert proc.returncode == 0, proc.stderr
+
+    def test_commands_do_not_import_fractions_or_decimal(self, tmp_path):
+        # the exact kernel works on integer pairs; fractions imports decimal
+        script = (
+            "import sys\n"
+            "from gibbstree.cli import main\n"
+            "d = sys.argv[1]\n"
+            "assert main(['solve', '--q', '4', '--k', '5', '--theta', '0.2', '--set', 'all',"
+            " '--json']) == 0\n"
+            "assert main(['sweep', '--q', '3', '--k', '4', '--theta-min', '0.1', '--theta-max',"
+            " '0.6', '--steps', '3', '--set', 'all', '--out', d + '/s.csv',"
+            " '--svg', d + '/s.svg']) == 0\n"
+            "assert main(['count', '--q', '7', '--json']) == 0\n"
+            "assert main(['plot', '--csv', d + '/s.csv', '--out', d + '/p.svg']) == 0\n"
+            "assert main(['verify', '--q', '3', '--k', '3', '--theta', '0.1', '--set', 'all']) == 0\n"
+            "loaded = sorted({'fractions', 'decimal'} & set(sys.modules))\n"
+            "assert not loaded, loaded\n"
+        )
+        proc = run_fresh(script, tmp_path)
+        assert proc.returncode == 0, proc.stderr

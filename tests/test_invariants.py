@@ -35,7 +35,7 @@ from gibbstree.invariants import (
     mobius_pow_k,
     recover_t_from_z,
 )
-from gibbstree.solver import _divide_out_unit_root
+from gibbstree.exact import _divide_out_unit_root
 
 from conftest import draw_regime_params, two_step_value
 

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -25,11 +26,8 @@ from gibbstree.invariants import (
     im_prime_system_residual,
     mobius_pow_k,
 )
-from gibbstree import solver
-from gibbstree.solver import (
-    Bracket,
-    RejectedRoot,
-    SolverConfig,
+from gibbstree import exact, solver
+from gibbstree.exact import (
     _certified_roots,
     _divide_out_unit_root,
     _homogeneous,
@@ -37,6 +35,11 @@ from gibbstree.solver import (
     _require_squarefree,
     _sign_at,
     _two_step_sign,
+)
+from gibbstree.solver import (
+    Bracket,
+    RejectedRoot,
+    SolverConfig,
     refine,
     scan_sign_changes,
     solve_im_reciprocal,
@@ -376,30 +379,51 @@ def _poly(*factors):
     return out
 
 
+def _pair(x):
+    """The integer pair (num, den) of a point of the exact kernel: a pair or a number."""
+    return x if isinstance(x, tuple) else x.as_integer_ratio()
+
+
+def _value(x):
+    """A point of the exact kernel as a number: a pair (num, den) as a Fraction."""
+    return Fraction(*x) if isinstance(x, tuple) else x
+
+
+def _on_pairs(f):
+    """f, a map on Fractions, as a map on the kernel's pairs (num, den)."""
+    return lambda v: f(Fraction(*v)).as_integer_ratio()
+
+
 @pytest.fixture
 def isolations(monkeypatch):
     """The input of every _isolate_unit_interval call from here on."""
     calls = []
-    isolate = solver._isolate_unit_interval
+    isolate = exact._isolate_unit_interval
 
     def recording(coeffs):
         calls.append(coeffs)
         return isolate(coeffs)
 
-    monkeypatch.setattr(solver, "_isolate_unit_interval", recording)
+    monkeypatch.setattr(exact, "_isolate_unit_interval", recording)
     return calls
 
 
 @pytest.fixture
 def fake_images(monkeypatch):
-    """Install fake(v, y), which replaces the image y of each cell end v in every derivation."""
+    """Install fake(v, y), which replaces the image y of each cell end v in every derivation.
+
+    v and y are handed to fake as Fractions.
+    """
     def install(fake):
-        derived = solver._derived_roots
+        derived = exact._derived_roots
 
         def faked(sign, image, sources, prev):
-            return derived(sign, lambda v: fake(v, image(v)), sources, prev)
+            return derived(sign, _on_pairs(lambda v: fake(v, Fraction(*image(_pair(v))))),
+                           sources, prev)
 
+        # solve_im_reciprocal looks the name up in solver, _certified_roots in exact
         monkeypatch.setattr(solver, "_derived_roots", faked)
+        monkeypatch.setattr(exact, "_derived_roots", faked)
 
     return install
 
@@ -447,7 +471,7 @@ class TestExactRootIsolation:
         # so the true one replaces the second isolation and a wrong one
         # falls back to it; both give the same floats
         c = _poly([-1, 3], [-3, 1], [1, 1])
-        assert _certified_roots(c, partner) == [1 / 3, 3.0]
+        assert _certified_roots(c, _on_pairs(partner)) == [1 / 3, 3.0]
         assert len(isolations) == (1 if partner(Fraction(1, 3)) == 3 else 2)
 
     @pytest.mark.parametrize("partner, isolated", [
@@ -458,7 +482,7 @@ class TestExactRootIsolation:
     def test_overlapping_partner_brackets_fall_back(self, isolations, partner, isolated):
         # (3z-1)(5z-1)(z-3)(z-5)(z+1): two roots on each side of 1
         c = _poly([-1, 3], [-1, 5], [-3, 1], [-5, 1], [1, 1])
-        assert _certified_roots(c, partner) == [0.2, 1 / 3, 3.0, 5.0]
+        assert _certified_roots(c, _on_pairs(partner)) == [0.2, 1 / 3, 3.0, 5.0]
         assert len(isolations) == isolated
 
     def test_partner_brackets_in_both_families(self, monkeypatch):
@@ -466,19 +490,19 @@ class TestExactRootIsolation:
         # around the image of its partner's cell, never shrunk, and comes
         # out bit for bit as from its isolating interval
         spans, shrunk = [], []
-        shrink, nearest = solver._shrink, solver._nearest_float
+        shrink, nearest = exact._shrink, exact._nearest_float
 
         def recording_shrink(coeffs, lo, hi):
-            shrunk.append(lo > 1)
+            shrunk.append(_value(lo) > 1)
             return shrink(coeffs, lo, hi)
 
         def recording_nearest(sign, lo, hi, s_lo):
-            if lo > 1:
-                spans.append(ulp_distance(lo, hi))
+            if _value(lo) > 1:
+                spans.append(ulp_distance(_value(lo), _value(hi)))
             return nearest(sign, lo, hi, s_lo)
 
-        monkeypatch.setattr(solver, "_shrink", recording_shrink)
-        monkeypatch.setattr(solver, "_nearest_float", recording_nearest)
+        monkeypatch.setattr(exact, "_shrink", recording_shrink)
+        monkeypatch.setattr(exact, "_nearest_float", recording_nearest)
         p = ModelParams(q=5, k=6, theta=0.1)
         assert [s.x.hex() for s in solve_im(p, 2)] == [
             "0x1.8d0424ac9d416p-4", "0x1.0000000000000p+0", "0x1.8aec624d97443p+2"]
@@ -555,13 +579,13 @@ class TestExactRootIsolation:
         # reciprocals are not dyadic; every exact sign is still taken at a
         # dyadic point
         dens = []
-        homogeneous = solver._homogeneous
+        homogeneous = exact._homogeneous
 
         def recording(coeffs, x):
-            dens.append(x.as_integer_ratio()[1])
+            dens.append(_pair(x)[1])
             return homogeneous(coeffs, x)
 
-        monkeypatch.setattr(solver, "_homogeneous", recording)
+        monkeypatch.setattr(exact, "_homogeneous", recording)
         assert [r.hex() for r in _certified_roots(_poly(*factors))] == [r.hex() for r in roots]
         assert dens and all(d & (d - 1) == 0 for d in dens)
 
@@ -588,7 +612,7 @@ class TestExactRootIsolation:
             for theta in (t_cr, t_cr * (1 - 1e-9), t_cr * (1 + 1e-9), rng.uniform(0.02, 0.98)):
                 points.append(ModelParams(q=q, k=k, theta=theta))
         want = [hexes(p) for p in points]
-        derived = solver._derived_roots
+        derived = exact._derived_roots
         refused = []
 
         def refusing(sign, image, sources, prev):
@@ -597,7 +621,7 @@ class TestExactRootIsolation:
                 return None
             return derived(sign, image, sources, prev)
 
-        monkeypatch.setattr(solver, "_derived_roots", refusing)
+        monkeypatch.setattr(exact, "_derived_roots", refusing)
         assert [hexes(p) for p in points] == want
         assert sum(refused) > 0
 
@@ -819,6 +843,78 @@ class TestReciprocalSets:
             solve_im_reciprocal(ModelParams(q=3, k=2, theta=0.1), 1, [])
 
 
+def _corpus_up_to_k7():
+    """The (case, record) pairs of the root corpus with k <= 7."""
+    from test_root_corpus import CORPUS, corpus_cases
+
+    records = json.loads(CORPUS.read_text())
+    return [(c, r) for c, r in zip(corpus_cases(), records) if c[1] <= 7]
+
+
+class TestFloatSeed:
+    """The float seed only picks where the exact shrink starts."""
+
+    @staticmethod
+    def _inner_floats(lo, hi):
+        # the smallest float above lo and the largest below hi
+        f_lo, f_hi = exact._floats_around(lo, hi)
+        return math.nextafter(f_lo, math.inf), math.nextafter(f_hi, -math.inf)
+
+    @pytest.mark.parametrize("seed", [
+        lambda lo, hi: exact._split(lo, hi),
+        lambda lo, hi: TestFloatSeed._inner_floats(lo, hi)[0],
+        lambda lo, hi: TestFloatSeed._inner_floats(lo, hi)[1],
+        # outside (lo, hi): ignored
+        lambda lo, hi: exact._floats_around(lo, hi)[0],
+        lambda lo, hi: exact._floats_around(lo, hi)[1],
+        lambda lo, hi: 2.0,
+        lambda lo, hi: math.nan,
+    ], ids=["split", "above_lo", "below_hi", "at_or_below_lo", "at_or_above_hi", "two", "nan"])
+    def test_seed_changes_no_root(self, monkeypatch, seed):
+        from test_root_corpus import solve_case
+
+        seeds = []
+
+        def fixed(coeffs, lo, hi, s_lo):
+            seeds.append(seed(lo, hi))
+            return seeds[-1]
+
+        monkeypatch.setattr(exact, "_float_seed", fixed)
+        for case, record in _corpus_up_to_k7():
+            assert solve_case(*case) == record, case
+        assert len(seeds) > 100
+
+    def test_exact_passes_per_shrink(self, monkeypatch):
+        # exact Horner passes per shrink, every q <= k <= 7, one theta on
+        # each side of theta_cr: about 5.7 from a bisection point, about 2
+        # from the float seed
+        counts = {"passes": 0, "shrinks": 0}
+        scaled_values, shrink = exact._scaled_values, exact._shrink
+
+        def counting_values(coeffs, x):
+            counts["passes"] += 1
+            return scaled_values(coeffs, x)
+
+        def counting_shrink(coeffs, lo, hi):
+            counts["shrinks"] += 1
+            return shrink(coeffs, lo, hi)
+
+        monkeypatch.setattr(exact, "_scaled_values", counting_values)
+        monkeypatch.setattr(exact, "_shrink", counting_shrink)
+        rng = np.random.default_rng(5)
+        for k in range(3, 8):
+            for q in range(3, k + 1):
+                t_cr = theta_critical(q, k)
+                for theta in (rng.uniform(0.02, t_cr), rng.uniform(t_cr, 0.98)):
+                    p = ModelParams(q=q, k=k, theta=float(theta))
+                    for m in range(1, q):
+                        solve_im(p, m)
+                    for m in range(1, (q - 1) // 2 + 1):
+                        solve_im_prime(p, m)
+        assert counts["shrinks"] > 50
+        assert counts["passes"] / counts["shrinks"] <= 3.0
+
+
 class TestNearestFloat:
     def test_root_anywhere_in_a_fine_bracket(self):
         # a root within a few units in the last place of a float g, in a
@@ -833,6 +929,7 @@ class TestNearestFloat:
             s_lo = int(rng.choice([-1, 1]))
 
             def sign(x):
+                x = _value(x)
                 return 0 if x == root else (s_lo if x < root else -s_lo)
 
             assert _nearest_float(sign, lo, hi, s_lo) == g
