@@ -13,7 +13,13 @@ bound (2n+1) 2^-53 sum |c_i| x^i of 0 (_float_seed).  Every end of the exact
 bracket still moves by an exact sign, so it holds the root whatever the seed
 (one outside it is ignored), and _nearest_float rounds inside any bracket
 that holds the root by exact signs: the seed changes how many exact passes
-run, never a root.
+run, never a root.  Every shrink bracket lies in (0, 1), where that bound is
+at most sum |c_i|, so it is accumulated only where |v| is below that sum
+padded for rounding.  The sign just inside lo comes from the isolation.
+
+A block two-step sign first compares bounds of both sides from 96-bit heads
+(_head_sign); bounds that do not overlap order the sides themselves, so the
+filter can leave a sign to the full powers but never change one.
 """
 from __future__ import annotations
 
@@ -26,6 +32,9 @@ from .errors import ConvergenceError, EvaluationError
 _CERT_PRIME = 2 ** 61 - 1
 # bisection depth past which _isolate_unit_interval certifies its input
 _CERT_DEPTH = 64
+# head bits of each side of a two-step sign: bounds about k 2^-96 wide relative to
+# a side separate except within ~2^-40 ulp of a root, at a fraction of the full cost
+_HEAD_BITS = 96
 
 
 def _ratio(x) -> tuple[int, int]:
@@ -142,19 +151,20 @@ def _dyadic(num: int, j: int) -> float | tuple[int, int]:
 
 
 def _isolate_unit_interval(coeffs: list[int]) -> list[tuple]:
-    """Disjoint brackets, each holding exactly one root in (0, 1), ascending.
+    """Disjoint brackets (lo, hi, s), each holding exactly one root in (0, 1), ascending.
 
     Vincent-Collins-Akritas bisection (Collins and Akritas, SYMSAC 1976).
     The sub-polynomial of a dyadic interval (a, b) has the roots of c in
     (a, b) at x in (0, 1); by Descartes' rule the sign variations of
     (1+x)^n c_I(1/(1+x)) bound their number and have its parity, so 0 and 1
-    settle an interval and anything else is halved.  A root exactly on a
-    midpoint is returned as a bracket with lo == hi.  Only squarefree input
-    lets the halving end, so the input is certified squarefree
-    (ConvergenceError otherwise) once an interval is pushed past _CERT_DEPTH
-    or a midpoint is a repeated root.
+    settle an interval and anything else is halved.  s is the sign of c just
+    inside lo, that of c_I's lowest nonzero coefficient, even where lo is a
+    root.  A root exactly on a midpoint is returned as a bracket with
+    lo == hi and s = 0.  Only squarefree input lets the halving end, so the
+    input is certified squarefree (ConvergenceError otherwise) once an
+    interval is pushed past _CERT_DEPTH or a midpoint is a repeated root.
     """
-    found = []                 # (a, b, j): the bracket (a/2^j, b/2^j)
+    found = []                 # (a, b, j, s): the bracket (a/2^j, b/2^j), s the sign just inside a
     certified = False
     stack = [(coeffs, 0, 0)]   # sub-polynomial on (num/2^j, (num+1)/2^j)
     while stack:
@@ -163,7 +173,7 @@ def _isolate_unit_interval(coeffs: list[int]) -> list[tuple]:
         if v == 0:
             continue
         if v == 1:
-            found.append((num, num + 1, j))
+            found.append((num, num + 1, j, 1 if next(ci for ci in c if ci) > 0 else -1))
             continue
         n = len(c) - 1
         left = [ci << (n - i) for i, ci in enumerate(c)]   # 2^n c(x/2)
@@ -172,13 +182,13 @@ def _isolate_unit_interval(coeffs: list[int]) -> list[tuple]:
             _require_squarefree(coeffs)
             certified = True
         if right[0] == 0:
-            found.append((2 * num + 1, 2 * num + 1, j + 1))
+            found.append((2 * num + 1, 2 * num + 1, j + 1, 0))
             right = right[1:]
         stack.append((left, 2 * num, j + 1))
         stack.append((right, 2 * num + 1, j + 1))
-    depth = max((j for _, _, j in found), default=0)
+    depth = max((j for _, _, j, _ in found), default=0)
     found.sort(key=lambda f: (f[0] << (depth - f[2]), f[1] << (depth - f[2])))
-    return [(_dyadic(a, j), _dyadic(b, j)) for a, b, j in found]
+    return [(_dyadic(a, j), _dyadic(b, j), s) for a, b, j, s in found]
 
 
 def _homogeneous(coeffs: list[int], x) -> int:
@@ -275,36 +285,38 @@ def _float_seed(coeffs: list[int], lo, hi, s_lo: int) -> float | None:
     """The float where _laguerre on float values (coefficients scaled into range) stops, or None."""
     n = len(coeffs) - 1
     scale = 1 << max(0, max(abs(c).bit_length() for c in coeffs) - 960)
-    terms = [(c / scale, abs(c / scale)) for c in reversed(coeffs)]
+    terms = [c / scale for c in reversed(coeffs)]
     tol = (2 * n + 1) * 2.0 ** -53
+    # at 0 < x < 1 the float Horner bound is at most (1 + 2^-53)^(2n+1) sum |c_i|
+    cap = tol * math.fsum(map(abs, terms)) * (1.0 + (2 * n + 4) * 2.0 ** -52)
 
     def values(x: float) -> tuple[int, float, float]:
-        v, dv, d2v, bound = 0.0, 0.0, 0.0, 0.0
-        for c, a in terms:
+        v, dv, d2v = 0.0, 0.0, 0.0
+        for c in terms:
             d2v = d2v * x + dv
             dv = dv * x + v
             v = v * x + c
-            bound = bound * x + a
-        if abs(v) <= tol * bound:
-            return 0, 0.0, 0.0
+        if abs(v) <= cap:
+            bound = 0.0
+            for c in terms:
+                bound = bound * x + abs(c)
+            if abs(v) <= tol * bound:
+                return 0, 0.0, 0.0
         return (1 if v > 0.0 else -1), dv / v, 2.0 * d2v / v
 
     return _laguerre(values, n, lo, hi, s_lo, _split(lo, hi))[2]
 
 
-def _shrink(coeffs: list[int], lo, hi) -> tuple:
+def _shrink(coeffs: list[int], lo, hi, s_lo: int) -> tuple:
     """Narrow the bracket (lo, hi) of one root of the polynomial to about one float spacing.
 
-    Returns (lo, hi, s_lo), s_lo the sign just inside lo; lo == hi if a step
-    lands on the root.  No float lies inside, except possibly one next to an
-    end that is not a float (_split can miss it).  The exact loop starts at
+    s_lo is the sign just inside lo.  Returns (lo, hi, s_lo); lo == hi, s_lo = 0
+    if a step lands on the root.  No float lies inside, except possibly one next
+    to an end that is not a float (_split can miss it).  The exact loop starts at
     the float seed, or at _split(lo, hi) if the seed is None or outside.
     """
     if lo == hi:
         return lo, hi, 0
-    # an end can be a root found exactly at a bisection midpoint; the bracket
-    # still holds one more root, so the signs just inside the ends differ
-    s_lo = _sign_at(coeffs, lo) or -_sign_at(coeffs, hi)
     x = _float_seed(coeffs, lo, hi, s_lo)
     if x is None or not _inside(lo, x, hi):
         x = _split(lo, hi)
@@ -356,18 +368,39 @@ def _nearest_float(sign, lo, hi, s_lo: int) -> float:
     return f_hi if s == s_lo else f_lo
 
 
+def _head_sign(num: int, den: int, ut: int, vt: int, k: int) -> int:
+    """sign(num ut^k - den vt^k) for ut, vt > 0 where _HEAD_BITS-bit heads tell it, else 0.
+
+    With h 2^s <= w < (h+1) 2^s, the sides lie in num [hu^k, (hu+1)^k) 2^(su k)
+    and den [hv^k, (hv+1)^k) 2^(sv k); disjoint intervals give the sign.
+    """
+    su, sv = max(ut.bit_length() - _HEAD_BITS, 0), max(vt.bit_length() - _HEAD_BITS, 0)
+    hu, hv = ut >> su, vt >> sv
+    eu, ev = (su - min(su, sv)) * k, (sv - min(su, sv)) * k
+    if num * hu ** k << eu >= den * (hv + 1) ** k << ev:
+        return 1
+    if num * (hu + 1) ** k << eu <= den * hv ** k << ev:
+        return -1
+    return 0
+
+
 def _two_step_sign(coeffs: list[int], k: int):
     """Exact sign function of R(x) = x U(x)^k - V(x)^k, from the coefficients of T.
 
     T(z) = z U(z^k) - V(z^k) holds the coefficients of U at degrees 1 + ik
     and those of -V at degrees ik.  At x = num/den, den^(k^2+1) R(x) is
     num Ut^k - den Vt^k with Ut = den^k U(x), Vt = den^k V(x) (_homogeneous).
+    Where Ut, Vt > 0, as for the block polynomial at x > 0, the heads decide
+    (_head_sign); only overlapping head bounds, as at a root, need the powers.
     """
     u, v = coeffs[1::k], [-c for c in coeffs[::k]]
 
     def sign(x) -> int:
         num, den = _ratio(x)
-        r = num * _homogeneous(u, x) ** k - den * _homogeneous(v, x) ** k
+        ut, vt = _homogeneous(u, x), _homogeneous(v, x)
+        if ut > 0 and vt > 0 and (s := _head_sign(num, den, ut, vt, k)):
+            return s
+        r = num * ut ** k - den * vt ** k
         return (r > 0) - (r < 0)
 
     return sign
@@ -434,8 +467,8 @@ def _certified_roots(coeffs: list[int], partner=None, k: int = 1) -> list[float]
 
     def unit_brackets(c: list[int]) -> list[tuple]:
         # the shrunk brackets (lo, hi, s_lo) of the roots of c in (0, 1), ascending
-        return [_shrink(c, lo or _dyadic(1, _root_bound(c[::-1])), hi)
-                for lo, hi in _isolate_unit_interval(c)]
+        return [_shrink(c, lo or _dyadic(1, _root_bound(c[::-1])), hi, s)
+                for lo, hi, s in _isolate_unit_interval(c)]
 
     def nearest(lo, hi, s_lo: int) -> float:
         if k > 1:

@@ -201,17 +201,19 @@ def solve_im_reciprocal(params: ModelParams, m: int,
     im_coeffs(params, m) reversed and negated, and sign R_(q-m)(x) =
     -sign R_m(1/x) for x > 0: x -> 1/x maps the roots of R_m, each of which
     solve_im returns as its nearest float, onto those of R_(q-m), in reverse
-    order, and _derived_roots rounds each (the root 1 has odd multiplicity,
-    so it too shows a sign change); where that fails, solve_im(params, q - m).
+    order; 1 is inserted as in solve_im, and _derived_roots rounds each
+    other root, whose bracket has no 1 inside as its source's half-ulp cell
+    lies on one side of 1.  Where that fails, solve_im(params, q - m).
     """
     params.require_solver_regime()
     InvariantSetId(SetKind.IM, m).validate_for(params.q)
     set_id = InvariantSetId(SetKind.IM, params.q - m)
     sign = _two_step_sign(im_coeffs(params, set_id.m), params.k)
-    xs = _derived_roots(sign, lambda v: v[::-1], [sol.x for sol in reversed(solutions)], 0.0)
+    sources = [sol.x for sol in reversed(solutions) if sol.x != 1.0]
+    xs = _derived_roots(sign, lambda v: v[::-1], sources, 0.0)
     if xs is None:
         return solve_im(params, set_id.m)
-    return _block_solutions(params, set_id, xs)
+    return _block_solutions(params, set_id, sorted(xs + [1.0]))
 
 
 def solve_im_prime(params: ModelParams, m: int,

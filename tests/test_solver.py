@@ -36,6 +36,7 @@ from gibbstree.exact import (
     _sign_at,
     _two_step_sign,
 )
+from gibbstree.sweep import parse_set_spec, solve_sets
 from gibbstree.solver import (
     Bracket,
     RejectedRoot,
@@ -440,6 +441,28 @@ class TestExactRootIsolation:
         c = _poly([-1, 2], [-3, 4], [-7, 1], [1, 1], [-2, 1], [3, 1])
         assert _certified_roots(c) == [0.5, 0.75, 2.0, 7.0]
 
+    def test_isolation_gives_the_starting_sign(self, isolations):
+        # the sign just inside each bracket's low end, as the isolation
+        # returns it, is the exact sign there, or minus the one at the high
+        # end where the low end is a root on a bisection midpoint; a bracket
+        # reaching 0 is closed at the root bound first
+        from test_root_corpus import solve_case
+
+        for case, _ in _corpus_up_to_k7():
+            solve_case(*case)
+        _certified_roots(_poly([-1, 2], [-3, 4], [-7, 1], [1, 1], [-2, 1], [3, 1]))
+        checked, root_ends = 0, 0
+        for c in list(isolations):
+            for lo, hi, s in exact._isolate_unit_interval(c):
+                if lo == hi:
+                    assert s == 0
+                    continue
+                lo = lo or exact._dyadic(1, exact._root_bound(c[::-1]))
+                assert s == (_sign_at(c, lo) or -_sign_at(c, hi)) != 0, (c, lo, hi)
+                checked += 1
+                root_ends += _sign_at(c, lo) == 0
+        assert checked > 100 and root_ends > 0
+
     def test_repeated_root_is_refused(self):
         with pytest.raises(ConvergenceError):
             _require_squarefree(_poly([-2, 1], [-2, 1], [1, 1]))
@@ -492,9 +515,9 @@ class TestExactRootIsolation:
         spans, shrunk = [], []
         shrink, nearest = exact._shrink, exact._nearest_float
 
-        def recording_shrink(coeffs, lo, hi):
+        def recording_shrink(coeffs, lo, hi, s_lo):
             shrunk.append(_value(lo) > 1)
-            return shrink(coeffs, lo, hi)
+            return shrink(coeffs, lo, hi, s_lo)
 
         def recording_nearest(sign, lo, hi, s_lo):
             if _value(lo) > 1:
@@ -729,6 +752,64 @@ class TestExactSign:
                 _sign_at([1, 2, 3], x)
 
 
+class TestTwoStepFilter:
+    """The head filter of the two-step sign leaves signs to the full powers, never changes one."""
+
+    def test_filter_agrees_with_full_powers(self, monkeypatch):
+        # every float and float midpoint within 8 ulps of every block root,
+        # q <= k <= 9, one theta on each side of theta_cr and theta_cr (1 - 1e-9);
+        # at x = 1, a root of R, only the full powers can tell
+        rng = np.random.default_rng(433)
+        cases = []
+        for k in range(3, 10):
+            for q in range(3, k + 1):
+                t_cr = theta_critical(q, k)
+                for theta in (rng.uniform(0.02, t_cr), rng.uniform(t_cr, 0.98), t_cr * (1 - 1e-9)):
+                    p = ModelParams(q=q, k=k, theta=float(theta))
+                    for m in range(1, q):
+                        floats = sorted({y for s in solve_im(p, m) for y in _floats_near(s.x, 8)})
+                        points = floats + [exact._midpoint(a, b) for a, b in zip(floats, floats[1:])
+                                           if math.nextafter(a, math.inf) == b]
+                        cases.append((im_coeffs(p, m), k, points))
+        heads = []
+        head_sign = exact._head_sign
+
+        def recording(num, den, ut, vt, k):
+            heads.append((num == den, head_sign(num, den, ut, vt, k)))
+            return heads[-1][1]
+
+        monkeypatch.setattr(exact, "_head_sign", recording)
+        at_one, away, full_away = 0, 0, 0
+        for coeffs, k, points in cases:
+            sign = _two_step_sign(coeffs, k)
+            u, v = coeffs[1::k], [-c for c in coeffs[::k]]
+            for x in points:
+                num, den = _pair(x)
+                full = num * _homogeneous(u, x) ** k - den * _homogeneous(v, x) ** k
+                heads.clear()
+                assert sign(x) == (full > 0) - (full < 0), (coeffs, k, x)
+                [(unit, s)] = heads
+                if unit:
+                    assert s == 0 and full == 0
+                    at_one += 1
+                else:
+                    away += 1
+                    full_away += s == 0
+        assert at_one == len(cases)
+        assert away > 20_000 and full_away < away / 1000
+
+
+def _floats_near(x: float, n: int) -> list[float]:
+    """x and the n floats on each side of it."""
+    out = [x]
+    for side in (0.0, math.inf):
+        y = x
+        for _ in range(n):
+            y = math.nextafter(y, side)
+            out.append(y)
+    return out
+
+
 def _reciprocal_draws(n: int, q_max: int, k_max: int, seed: int):
     """n seeded parameter points with q <= q_max, k <= k_max, on and around theta_cr."""
     rng = np.random.default_rng(seed)
@@ -818,6 +899,37 @@ class TestReciprocalSets:
         assert _hexes(solve_im_reciprocal(p, 2, primary)) == _hexes(solve_im(p, 3))
         assert block_solves == []
 
+    def test_no_sign_at_the_unit_root(self, monkeypatch, block_solves):
+        # solve_sets of --set all, every q <= k <= 7, one theta on each side
+        # of theta_cr: each derived set takes the root 1 as it is and signs
+        # only at its other roots, and no solve takes a two-step sign at 1
+        direct, derived = [], []
+        two_step_sign = exact._two_step_sign
+
+        def recording(points):
+            def make(coeffs, k):
+                sign = two_step_sign(coeffs, k)
+
+                def recorded(x):
+                    points.append(_pair(x))
+                    return sign(x)
+
+                return recorded
+            return make
+
+        monkeypatch.setattr(exact, "_two_step_sign", recording(direct))
+        # solve_im_reciprocal looks the name up in solver
+        monkeypatch.setattr(solver, "_two_step_sign", recording(derived))
+        rng = np.random.default_rng(439)
+        for k in range(3, 8):
+            for q in range(3, k + 1):
+                t_cr = theta_critical(q, k)
+                for theta in (rng.uniform(0.02, t_cr), rng.uniform(t_cr, 0.98)):
+                    p = ModelParams(q=q, k=k, theta=float(theta))
+                    solve_sets(p, parse_set_spec("all", q))
+        assert block_solves == [] and len(derived) > 100
+        assert [x for x in direct + derived if x[0] == x[1]] == []
+
     @pytest.mark.parametrize("case", ["no_sign_change", "moved_one_ulp", "duplicated"])
     def test_fallback_when_a_bracket_shows_no_sign_change(self, fake_images, block_solves, case):
         p = ModelParams(q=5, k=6, theta=0.1)
@@ -895,9 +1007,9 @@ class TestFloatSeed:
             counts["passes"] += 1
             return scaled_values(coeffs, x)
 
-        def counting_shrink(coeffs, lo, hi):
+        def counting_shrink(coeffs, lo, hi, s_lo):
             counts["shrinks"] += 1
-            return shrink(coeffs, lo, hi)
+            return shrink(coeffs, lo, hi, s_lo)
 
         monkeypatch.setattr(exact, "_scaled_values", counting_values)
         monkeypatch.setattr(exact, "_shrink", counting_shrink)
