@@ -11,8 +11,11 @@ Regenerate the file (only when a change is meant to move an output) with
 
     PYTHONPATH=src python tests/test_solve_golden.py
 
-and add --diff to write nothing, print which outputs would change and exit
-1 if any would, else 0.
+and add --diff to write nothing and print which outputs would change and,
+for each of x, y, z, t and residual_full, how many rows would change with
+the largest ulp and absolute distance (an ulp count from or to 0.0 spans
+every smaller float), then the changed classification cells and row
+counts; it exits 1 if any output would change, else 0.
 """
 import contextlib
 import io
@@ -20,6 +23,7 @@ import json
 import sys
 from pathlib import Path
 
+from conftest import ulp_distance
 from gibbstree import theta_critical
 from gibbstree.cli import main
 
@@ -66,14 +70,37 @@ def test_solve_json_bytes_match_golden():
         assert run_solve(g["argv"]) == (g["exit"], g["stdout"])
 
 
+def print_diff(old: list[dict], new: list[dict]) -> bool:
+    """Per output and per row field, what would change from old to new.
+
+    Rows are compared in order within each output; the row counts show
+    where that order shifts.  Returns whether any output differs.
+    """
+    changed = [" ".join(n["argv"]) for o, n in zip(old, new) if o != n]
+    for line in changed:
+        print(f"would change: {line}")
+    print(f"{len(changed)} of {len(new)} outputs would change")
+    rows = [(json.loads(o["stdout"]), json.loads(n["stdout"])) for o, n in zip(old, new)]
+    pairs = [pair for a, b in rows for pair in zip(a, b)]
+    for name in ("x", "y", "z", "t", "residual_full"):
+        moved = [(u[name], v[name]) for u, v in pairs
+                 if u[name] != v[name] and None not in (u[name], v[name])]
+        worst = max((ulp_distance(u, v) for u, v in moved), default=0)
+        delta = max((abs(u - v) for u, v in moved), default=0.0)
+        print(f"{name}: {len(moved)} of {len(pairs)} rows differ, "
+              f"largest {worst} ulps ({delta:.3g} absolute)")
+    labels = sum(u["classification"] != v["classification"] for u, v in pairs)
+    print(f"classification: {labels} of {len(pairs)} rows differ")
+    counts = sum(len(a) != len(b) for a, b in rows)
+    print(f"row count: {counts} of {len(new)} outputs differ")
+    if len(old) != len(new):
+        print(f"outputs: {len(old)} in the file, {len(new)} points")
+    return bool(changed) or len(old) != len(new)
+
+
 if __name__ == "__main__":
     new = records()
     if "--diff" in sys.argv[1:]:
-        old = json.loads(GOLDEN.read_text())
-        changed = [" ".join(n["argv"]) for o, n in zip(old, new) if o != n]
-        for line in changed:
-            print(f"would change: {line}")
-        print(f"{len(changed)} of {len(new)} outputs would change")
-        sys.exit(1 if changed or len(old) != len(new) else 0)
+        sys.exit(1 if print_diff(json.loads(GOLDEN.read_text()), new) else 0)
     GOLDEN.write_text(json.dumps(new, indent=1) + "\n")
     print(f"wrote {len(new)} outputs to {GOLDEN}")
