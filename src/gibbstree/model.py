@@ -136,11 +136,12 @@ class PeriodTwoField:
 def _compat_floats(h: Sequence[float], theta: float) -> list[float]:
     """compat_map of a finite field vector given as a sequence of floats, on plain floats."""
     shift = max(max(h), 0.0)
-    ex = [math.exp(v - shift) for v in h]
-    e0 = math.exp(-shift)  # the pinned component exp(0), shifted
-    s = sum(ex)
-    log_den = math.log(theta * e0 + s)
-    return [math.log(theta * e + (s - e) + e0) - log_den for e in ex]
+    ex = [math.exp(v - shift) for v in h] + [math.exp(-shift)]  # the pinned exp(0) last
+    # component i sums theta*x_i and every other x_j, positive terms only; the
+    # pinned component's sum is the denominator.  fsum rounds each sum once,
+    # so equal terms give equal sums, and theta = 1 gives exact zeros
+    logs = [math.log(math.fsum(ex[:i] + [theta * e] + ex[i + 1:])) for i, e in enumerate(ex)]
+    return [v - logs[-1] for v in logs[:-1]]
 
 
 def compat_map(h, params: ModelParams) -> np.ndarray:
@@ -151,14 +152,12 @@ def compat_map(h, params: ModelParams) -> np.ndarray:
         F_i = ln( (theta*x_i + sum_{j != i} x_j + 1) / (theta + sum_j x_j) )
 
     Every term in this arrangement is positive, and all exponentials are
-    shifted by the max entry so large fields cannot overflow.  The one
-    difference, sum_j x_j - x_i, is rounded at the scale of x_i, and the
-    numerator is at least theta*x_i, so a component can lose about a factor
-    1/theta in accuracy where x_i dominates.  theta = 1 maps every vector
-    to zero.  The vector is checked
-    with as_field; the arithmetic runs on plain floats with math.exp and
-    math.log (a vector of length q-1 is too short for numpy to pay), and
-    only the result is an ndarray.
+    shifted by the max entry so large fields cannot overflow.  Each sum is
+    rounded once (math.fsum) from its positive terms, so nothing cancels and
+    the error does not grow as theta falls.  theta = 1 maps every vector to
+    zero.  The vector is checked with as_field; the arithmetic runs on
+    plain floats with math.exp and math.log (a vector of length q-1 is too
+    short for numpy to pay), and only the result is an ndarray.
     """
     import numpy as np
 

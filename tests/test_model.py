@@ -177,8 +177,8 @@ def _compat_mp(h, theta):
     """compat_map's shifted formula at 50 digits, and the scale of its rounding error.
 
     The scale of component i is max(1, |ln num_i|, |ln den|) over the shifted
-    logs that the float code subtracts, divided by theta: num_i holds
-    s - x_i, which cancels down to a theta-th of num_i when x_i dominates.
+    logs that the float code subtracts.  Every term of num_i and den is
+    positive, so the scale does not depend on theta.
     """
     with mp.workdps(50):
         shift = max(max(h), 0.0)
@@ -188,7 +188,7 @@ def _compat_mp(h, theta):
         log_den = mp.log(theta * x0 + s)
         log_num = [mp.log(theta * xi + (s - xi) + x0) for xi in x]
         return ([ln - log_den for ln in log_num],
-                [float(max(1, abs(ln), abs(log_den))) / theta for ln in log_num])
+                [float(max(1, abs(ln), abs(log_den))) for ln in log_num])
 
 
 class TestFloatKernel:
@@ -215,6 +215,20 @@ class TestFloatKernel:
                            + [abs(h - k * f) for h, f in zip(h_odd.tolist(), f_even)])
             assert abs(res - want) <= 4 * (math.ulp(float(want))
                                            + k * math.ulp(max(tol_even + tol_odd)))
+
+    def test_error_does_not_grow_as_theta_falls(self):
+        # log-uniform theta down to 0.01: forming sum_j x_j - x_i by
+        # subtraction was 7 to 25 ulps of the scale off here
+        rng = np.random.default_rng(83)
+        for _ in range(300):
+            q = int(rng.integers(3, 9))
+            theta = math.exp(rng.uniform(math.log(0.01), math.log(0.99)))
+            scale = float(rng.choice([1.0, 10.0, 700.0]))
+            h = rng.uniform(-scale, scale, size=q - 1)
+            want, tol = _compat_mp(h.tolist(), theta)
+            got = compat_map(h, ModelParams(q=q, k=3, theta=theta)).tolist()
+            for g, w, t in zip(got, want, tol):
+                assert abs(g - w) <= 4 * math.ulp(t), (q, theta, h.tolist())
 
     def test_residual_rejects_wrong_q(self):
         with pytest.raises(ShapeError):
