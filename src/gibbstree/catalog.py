@@ -1,8 +1,9 @@
 """Classification and counting of boundary-field solutions.
 
-A solved scalar pair either has equal components (a translation-invariant
-field, the same vector on both sublattices) or distinct ones (a genuinely
-two-periodic field that alternates between even and odd generations).  The
+A solved scalar pair either has equal components, the same float twice (a
+translation-invariant field, the same vector on both sublattices), or
+distinct ones (a genuinely two-periodic field that alternates between even
+and odd generations).  The
 scalar patterns are anchored to the leading coordinates; permuting the q-1
 free components of the full vectors produces the rest of each symmetry
 orbit, and closed-form binomial counts give the orbit totals without
@@ -20,7 +21,6 @@ from .invariants import InvariantSetId, ReducedScalar
 from .model import ModelParams, PeriodTwoField, residual_norm
 
 _CLASSIFY_RESIDUAL_TOL = 1e-9
-_TI_REL_TOL = 1e-10
 
 
 class Classification(str, Enum):
@@ -42,21 +42,19 @@ class MeasureDescriptor:
 def classify(sol: ReducedScalar, params: ModelParams) -> Classification:
     """Tag a solved pair as translation invariant or two periodic.
 
-    Refuses to classify anything that does not satisfy the fixed-point
-    system: a wrong label on a non-solution would silently poison counts.
+    TI exactly when x == y and z == t: the solvers take each partner from
+    the row's own certified root list.  Refuses to classify anything that
+    does not satisfy the fixed-point system: a wrong label on a
+    non-solution would silently poison counts.
     """
     if not sol.residual_full <= _CLASSIFY_RESIDUAL_TOL:
         raise ResidualError(
             f"solution residual {sol.residual_full!r} exceeds {_CLASSIFY_RESIDUAL_TOL}; "
             "refusing to classify a non-solution"
         )
-    pairs = [(sol.x, sol.y)]
-    if sol.z is not None:
-        pairs.append((sol.z, sol.t))
-    for a, b in pairs:
-        if abs(a - b) > _TI_REL_TOL * max(abs(a), abs(b)):
-            return Classification.PERIOD_TWO
-    return Classification.TRANSLATION_INVARIANT
+    if sol.x == sol.y and sol.z == sol.t:
+        return Classification.TRANSLATION_INVARIANT
+    return Classification.PERIOD_TWO
 
 
 def _round12(v: float) -> float:

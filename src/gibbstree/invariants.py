@@ -75,8 +75,9 @@ class ReducedScalar:
     Mirror solutions also carry the root coordinates (z, t) with x = z^k and
     y = t^k.  embed_full fills in full_field and residual_full, the expanded
     (q-1)-component field pair and its max-norm fixed-point residual.
-    A block solver's x is the float nearest to its exact root, so the half-ulp
-    cell of x holds that root; solver.solve_im_reciprocal derives set q-m from it.
+    A solver's x, y, z and t are floats nearest to exact roots, and y (or t)
+    is another row's x (or z).  The half-ulp cell of a block x holds its
+    root; solver.solve_im_reciprocal derives set q-m from it.
     """
 
     x: float
@@ -180,8 +181,8 @@ def im_prime_poly_mp(z, params: ModelParams, m: int, dps: int = _POLY_DPS):
     b2(z) = m z^k + theta+q-m-1.
 
     This is the elimination of t from the mirror fixed-point system (see
-    im_prime_system_residual and recover_t_from_z), with the common factor
-    (theta-1)^k divided out.  p(1) = 0 always, and
+    im_prime_system_residual), with the common factor (theta-1)^k divided
+    out; at a root, t = b1(z)/b2(z).  p(1) = 0 always, and
     p(0) = (q-2m)^k (theta+m-1) + (q-2m) (theta+q-m-1)^k.  Evaluated at dps
     digits because the two products agree to leading order near z = 1.
     Accepts mpmath arguments for z, so derivative estimates can difference
@@ -246,7 +247,7 @@ def _poly_pow(p: list[int], k: int) -> list[int]:
 def im_prime_bases(params: ModelParams, m: int) -> tuple[list[int], list[int]]:
     """Integer coefficients of D b1(z) and D b2(z), lowest degree first, theta = A/D.
 
-    b1 and b2 are the bases of im_prime_poly_mp; t = b1/b2 (recover_t_from_z).
+    b1 and b2 are the bases of im_prime_poly_mp; at a root z, t = b1(z)/b2(z).
     """
     InvariantSetId(SetKind.IM_PRIME, m).validate_for(params.q)
     q, k = params.q, params.k
@@ -343,32 +344,6 @@ def im_prime_poly_slope_at_one(params: ModelParams) -> float:
     s = params.theta - 1.0
     q, k = params.q, params.k
     return (k * k - 1.0) * s * s - 2.0 * q * s - q * q
-
-
-def recover_t_from_z(z: float, params: ModelParams, m: int) -> float | None:
-    """Partner coordinate t for a candidate mirror root z, or None if invalid.
-
-        t = b1(z) / b2(z)
-          = ((theta+2m-1)z^k - m z^(k+1) + m z + q-2m) / (m z^k + theta+q-m-1)
-
-    with b1 and b2 the two bases of the mirror polynomial.  The first
-    equation of im_prime_system_residual gives t^k as a ratio; put into the
-    second equation, it turns the numerator into (theta-1) b1(z) and the
-    denominator into (theta-1) b2(z).  So no k-th root is taken, and the
-    ratio cancels only down to t, not t^k.  b2 > 0 for z >= 0.  Returns None
-    when t is not a finite positive float, in which case z does not yield a
-    real positive solution.
-    """
-    InvariantSetId(SetKind.IM_PRIME, m).validate_for(params.q)
-    z = _check_x(z)
-    th, q, k = params.theta, params.q, params.k
-    try:
-        zk = z ** k
-    except OverflowError:  # far above every root, where t is about -z
-        return None
-    b1 = (th + 2.0 * m - 1.0) * zk - m * zk * z + m * z + (q - 2.0 * m)
-    t = b1 / (m * zk + th + q - m - 1.0)
-    return t if t > 0.0 and math.isfinite(t) else None
 
 
 def im_prime_system_residual(z: float, t: float, params: ModelParams, m: int) -> float:

@@ -8,6 +8,7 @@ root sitting on the even sublattice.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
@@ -194,18 +195,17 @@ def residual_norm(field: PeriodTwoField, params: ModelParams) -> float:
     return max(map(abs, r_even + r_odd))
 
 
-def _is_numpy_integer(s) -> bool:
-    import numpy as np
-
-    return isinstance(s, np.integer)
-
-
 def _check_spin(s, q: int) -> int:
-    if isinstance(s, bool) or not (isinstance(s, int) or _is_numpy_integer(s)):
+    # operator.index takes Python and numpy integers, and refuses floats and numpy bools
+    try:
+        spin = operator.index(s)
+    except TypeError:
+        spin = None
+    if spin is None or isinstance(s, bool):
         raise DomainError(f"spin values must be integers, got {s!r}")
-    if not 1 <= s <= q:
+    if not 1 <= spin <= q:
         raise DomainError(f"spin {s} outside {{1..{q}}}")
-    return int(s)
+    return spin
 
 
 def monochromatic_edges(config: Sequence[int] | Mapping[int, int],

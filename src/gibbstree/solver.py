@@ -10,11 +10,12 @@ partners of those below it: F = f^k is decreasing with F(1) = 1 and maps
 fixed points of F o F to fixed points, so y = F(x) pairs the block roots
 across 1; the mirror system z = N/D of invariants.im_prime_system_residual
 is symmetric in z and t, and N - D = (theta - 1)(t^k - 1) with D > 0, so
-the partner t pairs the mirror roots across 1 the same way.  Block set q-m
-is the image of block set m under x -> 1/x.  Each root known from another
-root in these ways is rounded inside the image of its source float's
-half-ulp cell (exact._derived_roots).  Each root is then lifted to its
-partner value and embedded in the full field system.
+the partner t pairs the mirror roots across 1 the same way.  So in the
+ascending root list, 1 included, the partner of the i-th root is the i-th
+from the end, already rounded: each row pairs the list with its reverse.
+Block set q-m is the image of block set m under x -> 1/x.  Each root known
+from another root in these ways is rounded inside the image of its source
+float's half-ulp cell (exact._derived_roots).
 
 scan_sign_changes, refine, Bracket and SolverConfig form a generic grid
 scan that no solver calls; perfbench/tracing.py still hooks
@@ -39,8 +40,6 @@ from .invariants import (
     im_prime_poly,  # noqa: F401  unused; perfbench/tracing.py counts its calls here
     im_prime_poly_mp,  # noqa: F401  unused; perfbench/tracing.py counts its calls here
     im_prime_system_residual,
-    mobius_pow_k,
-    recover_t_from_z,
     two_step_map,  # noqa: F401  unused; perfbench/tracing.py counts its calls here
 )
 from .model import ModelParams
@@ -152,7 +151,7 @@ def refine(fn, bracket: Bracket, config: SolverConfig | None = None) -> float:
 
 @dataclass(frozen=True)
 class RejectedRoot:
-    """A polynomial root that does not lift to a positive mirror solution."""
+    """A mirror root whose row, paired with its partner root, fails the system check."""
 
     z: float
     reason: str
@@ -166,9 +165,8 @@ def _ratio_map(num: list[int], den: list[int], k: int = 1):
 def _block_solutions(params: ModelParams, set_id: InvariantSetId,
                      xs: list[float]) -> list[ReducedScalar]:
     """The block rows (x, f(x)^k) of set_id at the ascending fixed points xs, embedded."""
-    # x = 1 is always a fixed point, and f(1)^k = 1 exactly
-    solutions = [ReducedScalar(x=x, y=1.0 if x == 1.0 else mobius_pow_k(x, params, set_id.m),
-                               set_id=set_id) for x in xs]
+    # f(x)^k is the fixed point at the mirror position of x (see the module docstring)
+    solutions = [ReducedScalar(x=x, y=y, set_id=set_id) for x, y in zip(xs, reversed(xs))]
     for sol in solutions:
         embed_full(sol, params)
     return solutions
@@ -180,7 +178,7 @@ def solve_im(params: ModelParams, m: int) -> list[ReducedScalar]:
     x ranges over fixed points of the two-step map, found and counted
     exactly as the positive roots of the block two-step polynomial, through
     their k-th roots (see the module docstring); y = f(x)^k is the partner
-    value, and x = 1 is always present.  Below theta_critical at least three
+    root, and x = 1 is always present.  Below theta_critical at least three
     solutions appear; at and above it only the unit one.
     """
     params.require_solver_regime()
@@ -221,12 +219,12 @@ def solve_im_prime(params: ModelParams, m: int,
     """All mirror-pattern solutions, ascending in x, plus rejected polynomial roots.
 
     The positive roots of the mirror polynomial are found and counted
-    exactly (see the module docstring).  Every accepted root z recovers a
-    positive partner t and satisfies the coupled fixed-point system to 1e-9;
-    the others are reported in the second list with a reason.  The roots
-    above 1 are the partners t of those below it, so a root above 1 that is
-    no such partner is found, and reported, only where that pairing fails
-    (see exact._certified_roots).
+    exactly (see the module docstring).  Each root z is paired with the
+    root t at its mirror position in the ascending list, 1 included; a pair
+    that satisfies the coupled fixed-point system to 1e-9 is a solution,
+    and each other root is reported in the second list with its residual.
+    A root above 1 that is no root's partner is found only where the
+    pairing of exact._certified_roots fails, and shifts rows out of pair.
     """
     params.require_solver_regime()
     set_id = InvariantSetId(SetKind.IM_PRIME, m)
@@ -235,17 +233,11 @@ def solve_im_prime(params: ModelParams, m: int,
     b1, b2 = im_prime_bases(params, m)
     # b2 padded to the degree of b1, so that both scale alike
     roots = _certified_roots(im_prime_coeffs(params, m), _ratio_map(b1, b2 + [0]))
-    roots.append(1.0)  # p(1) = 0 exactly
+    roots = sorted(roots + [1.0])  # p(1) = 0 exactly
 
     solutions = []
     rejected = []
-    for z in sorted(roots):
-        # z = t = 1 solves the system exactly; recover_t_from_z's b1(1)/b2(1)
-        # can round to 1 +- 1 ulp
-        t = 1.0 if z == 1.0 else recover_t_from_z(z, params, m)
-        if t is None:
-            rejected.append(RejectedRoot(z=z, reason="partner value t not positive"))
-            continue
+    for z, t in zip(roots, reversed(roots)):
         res = im_prime_system_residual(z, t, params, m)
         if not res <= 1e-9:
             rejected.append(RejectedRoot(z=z, reason=f"system residual {res:.3e} > 1e-9"))
@@ -253,5 +245,4 @@ def solve_im_prime(params: ModelParams, m: int,
         sol = ReducedScalar(x=z ** params.k, y=t ** params.k, set_id=set_id, z=z, t=t)
         embed_full(sol, params)
         solutions.append(sol)
-    solutions.sort(key=lambda s: s.x)
     return solutions, rejected

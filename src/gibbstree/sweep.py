@@ -53,7 +53,7 @@ CSV_HEADER = ",".join(_NAMES)
 
 
 def solve_set(params: ModelParams, set_id: InvariantSetId) -> list[ReducedScalar]:
-    """Solve one invariant set, dropping mirror roots that fail to lift."""
+    """Solve one invariant set, dropping the mirror roots that solve_im_prime rejects."""
     if set_id.kind is SetKind.IM:
         return solve_im(params, set_id.m)
     solutions, _ = solve_im_prime(params, set_id.m)

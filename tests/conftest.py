@@ -61,6 +61,23 @@ def two_step_value(params: ModelParams, m: int, x):
     return x * (c * P + d * Q) ** k - (a * P + b * Q) ** k
 
 
+def mirror_value(params: ModelParams, m: int, z):
+    """The mirror polynomial b1^k qfac - b2^k pfac from its defining formula.
+
+    With b1 = (theta+2m-1) z^k - m z^(k+1) + m z + q-2m,
+    b2 = m z^k + theta+q-m-1, qfac = theta+m-1 - m z and
+    pfac = m z^(k+1) - m z^k + (theta+q-2m-1) z - (q-2m), the elimination of
+    t from the mirror fixed-point system; exact at an integer or Fraction z.
+    """
+    th, q, k = Fraction(params.theta), params.q, params.k
+    zk = z ** k
+    b1 = (th + 2 * m - 1) * zk - m * zk * z + m * z + q - 2 * m
+    b2 = m * zk + th + q - m - 1
+    qfac = th + m - 1 - m * z
+    pfac = m * zk * z - m * zk + (th + q - 2 * m - 1) * z - (q - 2 * m)
+    return b1 ** k * qfac - b2 ** k * pfac
+
+
 def _mul(f: list[int], g: list[int]) -> list[int]:
     out = [0] * (len(f) + len(g) - 1)
     for i, fi in enumerate(f):

@@ -31,9 +31,7 @@ from gibbstree.invariants import (
     _poly_pow,
     im_coeffs,
     im_prime_coeffs,
-    im_prime_system_residual,
     mobius_pow_k,
-    recover_t_from_z,
 )
 from gibbstree.exact import _divide_out_unit_root
 
@@ -379,36 +377,6 @@ class TestPolyPow:
     def test_zero_constant_term_rejected(self):
         with pytest.raises(ParameterError):
             _poly_pow([0, 1, 2], 3)
-
-
-class TestRecoverT:
-    def test_unit_maps_to_unit(self):
-        rng = np.random.default_rng(47)
-        for _ in range(20):
-            p = draw_regime_params(rng)
-            m = int(rng.integers(1, (p.q - 1) // 2 + 1))
-            t = recover_t_from_z(1.0, p, m)
-            assert t is not None
-            assert t == pytest.approx(1.0, rel=1e-12)
-
-    def test_negative_ratio_rejected(self):
-        # b1(3) = 1.1 * 27 - 81 + 3 + 1 = -47.3, b2(3) = 29.1
-        p = ModelParams(q=3, k=3, theta=0.1)
-        assert recover_t_from_z(3.0, p, 1) is None
-
-    def test_overflowing_power_rejected(self):
-        # z^3 is finite at 1e100 and overflows at 1e103; t is negative either way
-        p = ModelParams(q=3, k=3, theta=0.1)
-        assert recover_t_from_z(1e100, p, 1) is None
-        assert recover_t_from_z(1e103, p, 1) is None
-
-    def test_frozen_pair(self):
-        p = ModelParams(q=3, k=3, theta=0.1)
-        z = 0.5676438688
-        t = recover_t_from_z(z, p, 1)
-        assert t is not None
-        assert t == pytest.approx(1.2978464759, rel=1e-6)
-        assert im_prime_system_residual(z, t, p, 1) < 1e-6
 
 
 class TestEmbedding:

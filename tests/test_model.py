@@ -217,8 +217,8 @@ class TestFloatKernel:
                                            + k * math.ulp(max(tol_even + tol_odd)))
 
     def test_error_does_not_grow_as_theta_falls(self):
-        # log-uniform theta down to 0.01: forming sum_j x_j - x_i by
-        # subtraction was 7 to 25 ulps of the scale off here
+        # log-uniform theta down to 0.01, where a sum_j x_j - x_i formed by
+        # subtraction loses about a factor 1/theta
         rng = np.random.default_rng(83)
         for _ in range(300):
             q = int(rng.integers(3, 9))
@@ -264,9 +264,11 @@ class TestHamiltonian:
         assert monochromatic_edges(config, edges, 3) == 0
 
     def test_rejects_bad_spin(self):
-        for config in ({0: 0, 1: 1}, {0: 1, 1: 4}, {0: 1.0, 1: 1}, {0: True, 1: 1}):
+        for bad in (0, 4, 1.0, 2.0, True, np.True_, np.float64(2.0), np.int8(4)):
             with pytest.raises(DomainError):
-                monochromatic_edges(config, [(0, 1)], 3)
+                monochromatic_edges({0: bad, 1: 1}, [(0, 1)], 3)
+        # numpy integers are spins
+        assert monochromatic_edges({0: np.int8(3), 1: 3}, [(0, 1)], 3) == 1
 
 
 class TestFiniteVolumeWeight:

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
@@ -12,6 +13,7 @@ from gibbstree import (
     HypothesisError,
     ModelParams,
     ParameterError,
+    SetKind,
     im_prime_poly,
     solve_im,
     solve_im_prime,
@@ -39,7 +41,6 @@ from gibbstree.exact import (
 from gibbstree.sweep import parse_set_spec, solve_sets
 from gibbstree.solver import (
     Bracket,
-    RejectedRoot,
     SolverConfig,
     refine,
     scan_sign_changes,
@@ -49,6 +50,7 @@ from gibbstree.solver import (
 from conftest import (
     block_roots_by_scan,
     mirror_roots_by_scan,
+    mirror_value,
     two_step_coeffs,
     two_step_value,
     ulp_distance,
@@ -318,15 +320,16 @@ class TestSolveImPrime:
         assert xs == sorted(xs)
 
     def test_rejected_roots_reported(self, monkeypatch, p33):
-        # polynomial roots whose mirror partner is not recoverable are
-        # surfaced with a reason instead of silently dropped; the root below
-        # 1 still lifts, so the root above 1 is found from its partner
-        recover = solver.recover_t_from_z
-        monkeypatch.setattr(solver, "recover_t_from_z",
-                            lambda z, params, m: None if z > 1 else recover(z, params, m))
+        # a root that is no root's partner shifts every row of the reversed
+        # list out of pair; each mispaired row fails the system check and is
+        # reported with its residual instead of returned
+        certified = solver._certified_roots
+        monkeypatch.setattr(solver, "_certified_roots",
+                            lambda coeffs, partner: certified(coeffs, partner) + [2.0])
         sols, rejected = solve_im_prime(p33, 1)
-        assert [s.z for s in sols] == [0.5676438687968762, 1.0]
-        assert rejected == [RejectedRoot(z=1.297846475877372, reason="partner value t not positive")]
+        assert sols == []
+        assert [r.z for r in rejected] == [0.5676438687968762, 1.0, 1.297846475877372, 2.0]
+        assert all(r.reason.startswith("system residual ") for r in rejected)
 
     @staticmethod
     def _large_k_solves():
@@ -346,18 +349,16 @@ class TestSolveImPrime:
 
     def test_partner_t_is_the_other_root_at_large_k(self):
         # (z, t) and (t, z) both solve the system, so the two non-unit
-        # solutions carry each other's root
+        # solutions carry each other's root, bit for bit
         for p, m, (sols, _) in self._large_k_solves():
             assert len(sols) == 3, (p, m)
             low, _, high = sols
-            assert ulp_distance(low.t, high.z) <= 64, (p, m)
-            assert ulp_distance(high.t, low.z) <= 64, (p, m)
+            assert (low.t, high.t) == (high.z, low.z), (p, m)
 
     @pytest.mark.parametrize("q,k", [(3, 3), (3, 4)])
     @pytest.mark.parametrize("theta", [0.9999999467599381, 1.0 - 2.0 ** -40])
     def test_unit_solution_kept_as_theta_nears_one(self, q, k, theta):
-        # b1(1)/b2(1) can round to 1 +- 1 ulp; the unit root is lifted to
-        # t = 1 exactly, so its row is exact
+        # the unit root is its own partner in the root list, so its row is exact
         sols, rejected = solve_im_prime(ModelParams(q=q, k=k, theta=theta), 1)
         assert [(s.z, s.t, s.x, s.y, s.residual_full) for s in sols] == [(1.0,) * 4 + (0.0,)]
         assert rejected == []
@@ -369,6 +370,51 @@ class TestSolveImPrime:
     def test_index_gate(self, p33):
         with pytest.raises(ParameterError):
             solve_im_prime(p33, 2)
+
+
+def _cell_ends(v: float) -> tuple[Fraction, Fraction]:
+    """The ends of the half-ulp cell of v: the midpoints to its two neighbouring floats."""
+    return tuple((Fraction(v) + Fraction(math.nextafter(v, side))) / 2 for side in (0.0, math.inf))
+
+
+class TestExactPairing:
+    """Each row's partner value is the root at its mirror position, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def results(self):
+        """(params, set_id, rows) of solve_sets --set all at every q <= k <= 9.
+
+        One seeded theta on each side of theta_cr, and float(theta_cr).
+        """
+        rng = random.Random(41)
+        out = []
+        for k in range(3, 10):
+            for q in range(3, k + 1):
+                t_cr = theta_critical(q, k)
+                for theta in (rng.uniform(0.02, t_cr), t_cr, rng.uniform(t_cr, 0.98)):
+                    p = ModelParams(q=q, k=k, theta=theta)
+                    set_ids = parse_set_spec("all", q)
+                    out += [(p, set_id, rows)
+                            for set_id, rows in zip(set_ids, solve_sets(p, set_ids))]
+        return out
+
+    def test_partners_are_the_reversed_roots(self, results):
+        for p, set_id, rows in results:
+            assert [s.y for s in rows] == [s.x for s in reversed(rows)], (p, set_id)
+            if set_id.kind is SetKind.IM_PRIME:
+                assert [s.t for s in rows] == [s.z for s in reversed(rows)], (p, set_id)
+
+    def test_partners_are_correctly_rounded(self, results):
+        # the half-ulp cell of each y (each t) holds a root of the block
+        # two-step (mirror) polynomial, evaluated exactly from its formula
+        for p, set_id, rows in results:
+            if set_id.kind is SetKind.IM:
+                value, partners = partial(two_step_value, p, set_id.m), [s.y for s in rows]
+            else:
+                value, partners = partial(mirror_value, p, set_id.m), [s.t for s in rows]
+            for v in partners:
+                lo, hi = _cell_ends(v)
+                assert value(lo) * value(hi) < 0, (p, set_id, v)
 
 
 def _poly(*factors):
