@@ -9,8 +9,10 @@ vertex budget, 64 usage error, 74 file I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import shutil
 import sys
 from dataclasses import asdict
 
@@ -196,69 +198,98 @@ def cmd_plot(args, parser) -> int:
     return EXIT_OK
 
 
-def build_parser() -> _Parser:
+def _solve_options(p: argparse.ArgumentParser) -> None:
+    _add_model_args(p)
+    p.add_argument("--set", default="all",
+                   help="invariant set: im:<m>, imprime:<m>, or all")
+    p.add_argument("--out", default=None, help="also write solutions as CSV")
+    p.add_argument("--json", action="store_true", help="machine-readable output")
+
+
+def _sweep_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--theta-min", type=float, required=True)
+    p.add_argument("--theta-max", type=float, required=True)
+    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--set", default="all")
+    p.add_argument("--out", required=True, help="output CSV path")
+    p.add_argument("--svg", default=None, help="optional SVG plot path")
+    p.add_argument("--json", action="store_true")
+
+
+def _count_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--json", action="store_true")
+
+
+def _verify_options(p: argparse.ArgumentParser) -> None:
+    _add_model_args(p)
+    p.add_argument("--set", default="all")
+    p.add_argument("--depth", type=int, default=2,
+                   help="ball depth for the consistency check (default 2); "
+                        "depth 1 fails every period-two solution by design, "
+                        "since the root has k+1 children")
+    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--seed", type=int, default=0,
+                   help="accepted for older command lines; selects nothing, "
+                        "since every configuration is checked")
+    p.add_argument("--json", action="store_true")
+
+
+def _plot_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--csv", required=True, help="input CSV path")
+    p.add_argument("--out", required=True, help="output SVG path")
+    p.add_argument("--json", action="store_true")
+
+
+# name, help line, options, handler
+_COMMANDS = (
+    ("solve", "solve one parameter point", _solve_options, cmd_solve),
+    ("sweep", "solve across a theta grid, write CSV", _sweep_options, cmd_sweep),
+    ("count", "closed-form solution tallies", _count_options, cmd_count),
+    ("verify", "check solutions against finite-volume sums", _verify_options, cmd_verify),
+    ("plot", "render a sweep CSV as SVG", _plot_options, cmd_plot),
+)
+
+
+def build_parser(argv=None) -> _Parser:
+    """The parser for argv (default sys.argv[1:]), built for that one call.
+
+    Every command is registered with its help line, so the top-level help,
+    usage and "invalid choice" text do not depend on argv.  Only the command
+    that argv names (its first token not starting with "-") gets its options,
+    its handler and a -h action, since argparse parses no other subcommand.
+    The help width is read from the terminal once, not in every formatter.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    named = next((a for a in argv if not a.startswith("-")), None)
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
     parser = _Parser(prog="gibbstree",
                      description="Boundary-field solutions of the antiferromagnetic "
-                                 "q-state model on a Cayley tree")
+                                 "q-state model on a Cayley tree",
+                     formatter_class=formatter)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-
-    p_solve = sub.add_parser("solve", help="solve one parameter point")
-    _add_model_args(p_solve)
-    p_solve.add_argument("--set", default="all",
-                         help="invariant set: im:<m>, imprime:<m>, or all")
-    p_solve.add_argument("--out", default=None, help="also write solutions as CSV")
-    p_solve.add_argument("--json", action="store_true", help="machine-readable output")
-    p_solve.set_defaults(func=cmd_solve)
-
-    p_sweep = sub.add_parser("sweep", help="solve across a theta grid, write CSV")
-    p_sweep.add_argument("--q", type=int, required=True)
-    p_sweep.add_argument("--k", type=int, required=True)
-    p_sweep.add_argument("--theta-min", type=float, required=True)
-    p_sweep.add_argument("--theta-max", type=float, required=True)
-    p_sweep.add_argument("--steps", type=int, required=True)
-    p_sweep.add_argument("--set", default="all")
-    p_sweep.add_argument("--out", required=True, help="output CSV path")
-    p_sweep.add_argument("--svg", default=None, help="optional SVG plot path")
-    p_sweep.add_argument("--json", action="store_true")
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_count = sub.add_parser("count", help="closed-form solution tallies")
-    p_count.add_argument("--q", type=int, required=True)
-    p_count.add_argument("--json", action="store_true")
-    p_count.set_defaults(func=cmd_count)
-
-    p_verify = sub.add_parser("verify",
-                              help="check solutions against finite-volume sums")
-    _add_model_args(p_verify)
-    p_verify.add_argument("--set", default="all")
-    p_verify.add_argument("--depth", type=int, default=2,
-                          help="ball depth for the consistency check (default 2); "
-                               "depth 1 fails every period-two solution by design, "
-                               "since the root has k+1 children")
-    p_verify.add_argument("--tol", type=float, default=1e-8)
-    p_verify.add_argument("--seed", type=int, default=0,
-                          help="accepted for older command lines; selects nothing, "
-                               "since every configuration is checked")
-    p_verify.add_argument("--json", action="store_true")
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_plot = sub.add_parser("plot", help="render a sweep CSV as SVG")
-    p_plot.add_argument("--csv", required=True, help="input CSV path")
-    p_plot.add_argument("--out", required=True, help="output SVG path")
-    p_plot.add_argument("--json", action="store_true")
-    p_plot.set_defaults(func=cmd_plot)
-
+    for name, help_text, add_options, handler in _COMMANDS:
+        if name != named:
+            sub.add_parser(name, help=help_text, add_help=False)
+            continue
+        p = sub.add_parser(name, help=help_text, formatter_class=formatter)
+        add_options(p)
+        p.set_defaults(func=handler, parser=p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
         if getattr(args, "func", None) is None:
             parser.print_help()
             return EXIT_USAGE
-        return args.func(args, parser)
+        return args.func(args, args.parser)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except SelectorSyntaxError as exc:

@@ -140,9 +140,14 @@ def _compat_floats(h: Sequence[float], theta: float) -> list[float]:
     ex = [math.exp(v - shift) for v in h] + [math.exp(-shift)]  # the pinned exp(0) last
     # component i sums theta*x_i and every other x_j, positive terms only; the
     # pinned component's sum is the denominator.  fsum rounds each sum once,
-    # so equal terms give equal sums, and theta = 1 gives exact zeros
-    logs = [math.log(math.fsum(ex[:i] + [theta * e] + ex[i + 1:])) for i, e in enumerate(ex)]
-    return [v - logs[-1] for v in logs[:-1]]
+    # so equal terms give equal sums, and theta = 1 gives exact zeros.  Components
+    # with equal exp values sum the same terms, so each value is summed once
+    logs = {}
+    for i, e in enumerate(ex):
+        if e not in logs:
+            logs[e] = math.log(math.fsum(ex[:i] + [theta * e] + ex[i + 1:]))
+    den = logs[ex[-1]]
+    return [logs[e] - den for e in ex[:-1]]
 
 
 def compat_map(h, params: ModelParams) -> np.ndarray:

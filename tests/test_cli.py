@@ -13,7 +13,7 @@ import pytest
 import gibbstree
 from gibbstree import ModelParams, oracle
 from gibbstree.sweep import CSV_HEADER, parse_set_spec, read_csv, rows_for
-from gibbstree.cli import main
+from gibbstree.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -349,6 +349,154 @@ class TestUsageErrors:
     def test_help_exits_clean(self, capsys):
         assert run(capsys, "--help")[0] == 0
         assert run(capsys, "solve", "--help")[0] == 0
+
+    def test_parameter_errors_read_like_argparse_errors(self, capsys):
+        # the --theta/--coupling/--temp errors name the invoked command, as
+        # argparse's own errors for it do, and keep exit code 64
+        for cmd in ("solve", "verify"):
+            _, _, own = run(capsys, cmd, "--k", "3", "--theta", "0.1")
+            for extra in (["--theta", "0.1", "--coupling", "1"], [],
+                          ["--coupling", "1", "--temp", "-1"]):
+                code, out, err = run(capsys, cmd, "--q", "3", "--k", "3", *extra)
+                assert code == 64 and out == ""
+                assert err.splitlines()[:-1] == own.splitlines()[:-1]
+                assert err.splitlines()[-1].startswith(f"gibbstree {cmd}: error: ")
+
+    def test_top_level_help_does_not_depend_on_the_command(self):
+        text = build_parser([]).format_help()
+        for cmd in ("solve", "sweep", "count", "verify", "plot", "frobnicate"):
+            assert build_parser([cmd, "--q", "3"]).format_help() == text
+
+
+# The CLI's text at COLUMNS=80, byte for byte, as argparse of Python 3.11
+# formats it; another Python version may word argparse's own messages
+# differently.
+TOP_USAGE = "usage: gibbstree [-h] {solve,sweep,count,verify,plot} ...\n"
+TOP_HELP = TOP_USAGE + """
+Boundary-field solutions of the antiferromagnetic q-state model on a Cayley
+tree
+
+positional arguments:
+  {solve,sweep,count,verify,plot}
+    solve               solve one parameter point
+    sweep               solve across a theta grid, write CSV
+    count               closed-form solution tallies
+    verify              check solutions against finite-volume sums
+    plot                render a sweep CSV as SVG
+
+options:
+  -h, --help            show this help message and exit
+"""
+SOLVE_USAGE = """\
+usage: gibbstree solve [-h] --q Q --k K [--theta THETA] [--coupling COUPLING]
+                       [--temp TEMP] [--set SET] [--out OUT] [--json]
+"""
+VERIFY_USAGE = """\
+usage: gibbstree verify [-h] --q Q --k K [--theta THETA] [--coupling COUPLING]
+                        [--temp TEMP] [--set SET] [--depth DEPTH] [--tol TOL]
+                        [--seed SEED] [--json]
+"""
+MODEL_OPTIONS = """\
+  --q Q                number of spin states
+  --k K                tree branching order
+  --theta THETA        interaction weight exp(J/T), in (0, 1)
+  --coupling COUPLING  coupling constant J (alternative to --theta, with
+                       --temp)
+  --temp TEMP          temperature T > 0 (used with --coupling)
+"""
+COMMAND_HELP = {
+    "solve": SOLVE_USAGE + """
+options:
+  -h, --help           show this help message and exit
+""" + MODEL_OPTIONS + """\
+  --set SET            invariant set: im:<m>, imprime:<m>, or all
+  --out OUT            also write solutions as CSV
+  --json               machine-readable output
+""",
+    "sweep": """\
+usage: gibbstree sweep [-h] --q Q --k K --theta-min THETA_MIN --theta-max
+                       THETA_MAX --steps STEPS [--set SET] --out OUT
+                       [--svg SVG] [--json]
+
+options:
+  -h, --help            show this help message and exit
+  --q Q
+  --k K
+  --theta-min THETA_MIN
+  --theta-max THETA_MAX
+  --steps STEPS
+  --set SET
+  --out OUT             output CSV path
+  --svg SVG             optional SVG plot path
+  --json
+""",
+    "count": """\
+usage: gibbstree count [-h] --q Q [--json]
+
+options:
+  -h, --help  show this help message and exit
+  --q Q
+  --json
+""",
+    "verify": VERIFY_USAGE + """
+options:
+  -h, --help           show this help message and exit
+""" + MODEL_OPTIONS + """\
+  --set SET
+  --depth DEPTH        ball depth for the consistency check (default 2); depth
+                       1 fails every period-two solution by design, since the
+                       root has k+1 children
+  --tol TOL
+  --seed SEED          accepted for older command lines; selects nothing,
+                       since every configuration is checked
+  --json
+""",
+    "plot": """\
+usage: gibbstree plot [-h] --csv CSV --out OUT [--json]
+
+options:
+  -h, --help  show this help message and exit
+  --csv CSV   input CSV path
+  --out OUT   output SVG path
+  --json
+""",
+}
+
+
+class TestPinnedText:
+    """stdout, stderr and exit code of help and usage errors, every byte."""
+
+    @pytest.fixture(autouse=True)
+    def columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.parametrize("argv, code, out", [
+        (["--help"], 0, TOP_HELP),
+        ([], 64, TOP_HELP),
+    ] + [([cmd, "--help"], 0, text) for cmd, text in COMMAND_HELP.items()],
+        ids=["help", "no-arguments"] + [f"{cmd}-help" for cmd in COMMAND_HELP])
+    def test_help(self, capsys, argv, code, out):
+        assert run(capsys, *argv) == (code, out, "")
+
+    @pytest.mark.parametrize("argv, err", [
+        (["frobnicate"], TOP_USAGE + "gibbstree: error: argument command: invalid choice: "
+         "'frobnicate' (choose from 'solve', 'sweep', 'count', 'verify', 'plot')\n"),
+        (["solve", "--k", "3", "--theta", "0.1"], SOLVE_USAGE
+         + "gibbstree solve: error: the following arguments are required: --q\n"),
+        (["solve", "--q", "x", "--k", "3", "--theta", "0.1"], SOLVE_USAGE
+         + "gibbstree solve: error: argument --q: invalid int value: 'x'\n"),
+        (["solve", "--q", "3", "--k", "3", "--theta", "0.1", "--frob"], TOP_USAGE
+         + "gibbstree: error: unrecognized arguments: --frob\n"),
+        (["solve", "--q", "3", "--k", "3", "--theta", "0.1", "--coupling", "1"], SOLVE_USAGE
+         + "gibbstree solve: error: --theta conflicts with --coupling/--temp\n"),
+        (["solve", "--q", "3", "--k", "3"], SOLVE_USAGE
+         + "gibbstree solve: error: provide either --theta or both --coupling and --temp\n"),
+        (["verify", "--q", "3", "--k", "3", "--coupling", "1", "--temp", "0"], VERIFY_USAGE
+         + "gibbstree verify: error: --temp must be positive\n"),
+    ], ids=["unknown-command", "missing-required", "bad-int", "unknown-option",
+            "theta-and-coupling", "no-temperature", "temp-not-positive"])
+    def test_usage_error(self, capsys, argv, err):
+        assert run(capsys, *argv) == (64, "", err)
 
 
 def run_fresh(script: str, tmp_path) -> subprocess.CompletedProcess:
