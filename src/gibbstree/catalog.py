@@ -3,11 +3,11 @@
 A solved scalar pair either has equal components, the same float twice (a
 translation-invariant field, the same vector on both sublattices), or
 distinct ones (a genuinely two-periodic field that alternates between even
-and odd generations).  The
-scalar patterns are anchored to the leading coordinates; permuting the q-1
-free components of the full vectors produces the rest of each symmetry
-orbit, and closed-form binomial counts give the orbit totals without
-enumerating them.
+and odd generations).  The scalar patterns are anchored to the leading
+coordinates; permuting the q-1 free components of the full float vectors
+produces the rest of each symmetry orbit, and two images are the same field
+exactly when their components compare equal.  Closed-form binomial counts
+give the orbit totals without enumerating them.
 """
 from __future__ import annotations
 
@@ -57,45 +57,32 @@ def classify(sol: ReducedScalar, params: ModelParams) -> Classification:
     return Classification.PERIOD_TWO
 
 
-def _round12(v: float) -> float:
-    """v rounded to 12 decimals as NumPy's round(v, 12) does, up to the sign of zero.
-
-    Both scale by 1e12, round half to even and scale back; a scaled value
-    that overflows stays infinite, as in NumPy.
-    """
-    scaled = v * 1e12
-    return float(round(scaled)) / 1e12 if math.isfinite(scaled) else scaled
-
-
 def orbit_expand(sol: ReducedScalar, params: ModelParams) -> list[MeasureDescriptor]:
     """All distinct fields obtained by permuting the free components.
 
     Applies each permutation of the q-1 free coordinates to both sublattice
     vectors at once, then drops duplicates (the anchored patterns have many
-    stabilizers).  The first descriptor is the solution itself under the
-    identity permutation, with a copy of its field.  Every survivor is
-    residual-checked again after the permutation; symmetry of the
-    compatibility map makes this a tautology in exact arithmetic, so a
-    failure here means a numerics bug.
+    stabilizers).  A duplicate is an image whose components all equal an
+    earlier image's as floats (0.0 equals -0.0), with no rounding, so even
+    a component of 1e-13 keeps its images apart.  The first descriptor is
+    the solution itself under the identity permutation, with a copy of its
+    field.  Every survivor is residual-checked again after the permutation;
+    symmetry of the compatibility map makes this a tautology in exact
+    arithmetic, so a failure here means a numerics bug.
     """
     base = sol.full_field
     if base is None:
         raise ParameterError("solution has no embedded field; call embed_full first")
     label = classify(sol, params)
     n = params.q - 1
-    # rounding is per component, so a permuted key is the key of the permuted field
-    round_even = [_round12(v) for v in base.even]
-    round_odd = [_round12(v) for v in base.odd]
     seen: set[tuple] = set()
     out: list[MeasureDescriptor] = []
     for perm in itertools.permutations(range(n)):
-        key = tuple(round_even[i] for i in perm) + tuple(round_odd[i] for i in perm)
+        key = (tuple(base.even[i] for i in perm), tuple(base.odd[i] for i in perm))
         if key in seen:
             continue
         seen.add(key)
-        h_even = [base.even[i] for i in perm]
-        h_odd = [base.odd[i] for i in perm]
-        fld = PeriodTwoField(h_even=h_even, h_odd=h_odd)
+        fld = PeriodTwoField(*key)
         res = residual_norm(fld, params)
         if not res <= 10.0 * _CLASSIFY_RESIDUAL_TOL:
             raise ResidualError(

@@ -10,13 +10,9 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, HypothesisError, ParameterError, ShapeError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -51,20 +47,10 @@ class ModelParams:
             )
 
 
-def as_field(values, q: int) -> np.ndarray:
-    """Coerce to a finite float vector of length q-1."""
-    import numpy as np
-
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.shape[0] != q - 1:
-        raise ShapeError(f"field vector must have length q-1 = {q - 1}, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("field vector has non-finite entries")
-    return arr
-
-
 def _components(values) -> tuple[float, ...]:
     """A one-dimensional field vector as a tuple of floats."""
+    if isinstance(values, (str, bytes)):
+        raise ShapeError(f"field vectors must be sequences of numbers, got {values!r}")
     if getattr(values, "ndim", 1) != 1:
         raise ShapeError(f"field vectors must be one-dimensional, got shape {values.shape}")
     try:
@@ -73,24 +59,23 @@ def _components(values) -> tuple[float, ...]:
         raise ShapeError(f"field vectors must be sequences of numbers, got {values!r}") from None
 
 
-def _read_only(components: tuple[float, ...]) -> np.ndarray:
-    """The components as a read-only float64 ndarray."""
-    import numpy as np
-
-    arr = np.array(components)
-    arr.flags.writeable = False
-    return arr
+def as_field(values, q: int) -> tuple[float, ...]:
+    """Coerce a sequence or one-dimensional array to a finite float tuple of length q-1."""
+    vec = _components(values)
+    if len(vec) != q - 1:
+        raise ShapeError(f"field vector must have length q-1 = {q - 1}, got length {len(vec)}")
+    if not all(map(math.isfinite, vec)):
+        raise DomainError("field vector has non-finite entries")
+    return vec
 
 
 @dataclass(frozen=True)
 class PeriodTwoField:
     """Field pair (h_even, h_odd) applied by generation parity; root parity is even.
 
-    The components are held as tuples of floats, even and odd.  h_even and
-    h_odd are the same vectors as read-only float64 ndarrays, built on first
-    access, so a field that is only solved, checked and written never
-    imports numpy.  Fields are immutable, and compare and hash by their
-    components.
+    The constructor takes any two equal-length sequences or one-dimensional
+    arrays of finite numbers and holds them as tuples of floats, even and
+    odd.  Fields are immutable, and compare and hash by their components.
     """
 
     even: tuple[float, ...]
@@ -112,14 +97,6 @@ class PeriodTwoField:
 
     def __repr__(self) -> str:
         return f"PeriodTwoField(h_even={list(self.even)!r}, h_odd={list(self.odd)!r})"
-
-    @cached_property
-    def h_even(self) -> np.ndarray:
-        return _read_only(self.even)
-
-    @cached_property
-    def h_odd(self) -> np.ndarray:
-        return _read_only(self.odd)
 
     @classmethod
     def zero(cls, q: int) -> "PeriodTwoField":
@@ -150,8 +127,8 @@ def _compat_floats(h: Sequence[float], theta: float) -> list[float]:
     return [logs[e] - den for e in ex[:-1]]
 
 
-def compat_map(h, params: ModelParams) -> np.ndarray:
-    """One-generation image of a boundary-field vector, as an ndarray.
+def compat_map(h, params: ModelParams) -> tuple[float, ...]:
+    """One-generation image of a boundary-field vector, as a tuple of floats.
 
     With x_j = exp(h_j) for the q-1 free components and the q-th pinned to 1:
 
@@ -161,13 +138,10 @@ def compat_map(h, params: ModelParams) -> np.ndarray:
     shifted by the max entry so large fields cannot overflow.  Each sum is
     rounded once (math.fsum) from its positive terms, so nothing cancels and
     the error does not grow as theta falls.  theta = 1 maps every vector to
-    zero.  The vector is checked with as_field; the arithmetic runs on
-    plain floats with math.exp and math.log (a vector of length q-1 is too
-    short for numpy to pay), and only the result is an ndarray.
+    zero.  h may be any sequence or one-dimensional array, checked with
+    as_field; the arithmetic runs on plain floats with math.exp and math.log.
     """
-    import numpy as np
-
-    return np.array(_compat_floats(as_field(h, params.q).tolist(), params.theta))
+    return tuple(_compat_floats(as_field(h, params.q), params.theta))
 
 
 def _residual_floats(field: PeriodTwoField, params: ModelParams,
@@ -181,17 +155,16 @@ def _residual_floats(field: PeriodTwoField, params: ModelParams,
             [h - k * f for h, f in zip(h_odd, _compat_floats(h_even, theta))])
 
 
-def period2_residual(field: PeriodTwoField, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Residual pair (h_even - k*F(h_odd), h_odd - k*F(h_even)).
+def period2_residual(field: PeriodTwoField, params: ModelParams,
+                     ) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Residual pair (h_even - k*F(h_odd), h_odd - k*F(h_even)), as float tuples.
 
     Both vectors vanish exactly when the field pair is a period-two solution
     of the tree recursion; a translation-invariant solution is the special
     case h_even = h_odd.
     """
-    import numpy as np
-
     r_even, r_odd = _residual_floats(field, params)
-    return np.array(r_even), np.array(r_odd)
+    return tuple(r_even), tuple(r_odd)
 
 
 def residual_norm(field: PeriodTwoField, params: ModelParams) -> float:

@@ -85,7 +85,9 @@ def scan_sign_changes(fn, lo: float, hi: float, config: SolverConfig | None = No
 
     spacing "geometric" places nodes uniformly in ln(x) (lo must be positive);
     "uniform" places them uniformly in x.  A node where fn is exactly zero
-    produces no bracket, so known roots must be seeded by the caller.
+    produces no bracket, so known roots must be seeded by the caller.  No
+    solver calls it; it is kept only because the benchmark's tracing hooks
+    it by name, and it needs numpy, which the test extra installs.
     """
     import numpy as np
 

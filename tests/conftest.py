@@ -216,7 +216,7 @@ def boundary_log_sum_by_enumeration(tree, params: ModelParams, field,
     combos = np.stack(
         np.unravel_index(np.arange(q ** b), (q,) * b), axis=-1
     ).astype(np.int8) + 1
-    h = field.h_even if tree.n % 2 == 0 else field.h_odd
+    h = field.even if tree.n % 2 == 0 else field.odd
     boundary_term = np.append(h, 0.0)[combos.astype(np.int64) - 1].sum(axis=1)
     inner_mono = sum(1 for u, v in edges if depth[v] < tree.n and inner[u] == inner[v])
     cross_mono = (combos == inner[parents].astype(np.int8)[None, :]).sum(axis=1)

@@ -209,8 +209,8 @@ def test_criterion_07_oracle_consistency():
                 perturbed_field = (p, sol.full_field)
 
     p, fld = perturbed_field
-    bad = PeriodTwoField(h_even=fld.h_even + np.array([0.1, 0.0]),
-                         h_odd=fld.h_odd.copy())
+    bad = PeriodTwoField(h_even=np.asarray(fld.even) + np.array([0.1, 0.0]),
+                         h_odd=fld.odd)
     bad_report = check_consistency(tree, p, bad, tol=1e-6)
     elapsed = time.perf_counter() - start
     assert not bad_report.passed
@@ -260,8 +260,8 @@ def test_criterion_09_counting():
                 orbit = orbit_expand(sol, p)
                 assert len(orbit) == expected, (q, k, m, len(orbit))
                 for d in orbit:
-                    pair_keys.add((tuple(np.round(d.field.h_even, 10)),
-                                   tuple(np.round(d.field.h_odd, 10))))
+                    pair_keys.add((tuple(np.round(d.field.even, 10)),
+                                   tuple(np.round(d.field.odd, 10))))
             assert len(pair_keys) == 2 * expected
             checked.append((f"im:{m}", q, expected))
         for m in range(1, (q - 1) // 2 + 1):
@@ -304,8 +304,8 @@ def test_criterion_10_pattern_invariance():
             sol = ReducedScalar(x=x, y=y, z=x ** (1 / p.k), t=y ** (1 / p.k),
                                 set_id=InvariantSetId(kind, m))
         fld = embed_full(sol, p)
-        for vec in (p.k * compat_map(fld.h_odd, p),
-                    p.k * compat_map(fld.h_even, p)):
+        for vec in (p.k * np.asarray(compat_map(fld.odd, p)),
+                    p.k * np.asarray(compat_map(fld.even, p))):
             lead = vec[:m]
             worst = max(worst, float(np.max(np.abs(lead - lead[0]))))
             if kind == SetKind.IM:

@@ -19,7 +19,7 @@ from gibbstree import (
     solve_im_prime,
     total_lower_bound,
 )
-from gibbstree.catalog import _round12, count_im, count_im_prime
+from gibbstree.catalog import count_im, count_im_prime
 
 
 class TestClassify:
@@ -57,8 +57,8 @@ class TestOrbitExpand:
         assert d.source is sols[0]
         # an equal copy of the solution's field, not the same object
         assert d.field is not sols[0].full_field
-        assert np.array_equal(d.field.h_even, sols[0].full_field.h_even)
-        assert np.array_equal(d.field.h_odd, sols[0].full_field.h_odd)
+        assert np.array_equal(d.field.even, sols[0].full_field.even)
+        assert np.array_equal(d.field.odd, sols[0].full_field.odd)
 
     def test_requires_embedding(self, p33):
         sol = ReducedScalar(x=2.0, y=3.0, set_id=InvariantSetId(SetKind.IM, 1))
@@ -99,7 +99,7 @@ class TestOrbitExpand:
     def test_orbit_fields_are_distinct(self):
         p = ModelParams(q=4, k=5, theta=0.1)
         orbit = orbit_expand(solve_im(p, 1)[0], p)
-        keys = {tuple(np.round(d.field.h_even, 10)) for d in orbit}
+        keys = {tuple(np.round(d.field.even, 10)) for d in orbit}
         assert len(keys) == len(orbit)
 
     def test_orbit_matches_symbol_count(self):
@@ -112,20 +112,19 @@ class TestOrbitExpand:
         orbit = orbit_expand(solve_im(p, 1)[0], p)
         assert len(orbit) == len(images)
 
-    def test_keys_round_as_numpy_does(self):
-        # orbit keys are rounded without numpy; they equal numpy.round's,
-        # up to the sign of zero, which a set key does not see
-        rng = np.random.default_rng(2026)
-        values = np.concatenate([
-            rng.normal(scale=10.0, size=20_000),
-            rng.normal(size=20_000) * 10.0 ** rng.uniform(-16, 290, size=20_000),
-            np.round(rng.normal(size=20_000), 12) + rng.choice([-1, 1], 20_000) * 5e-13,
-            [0.0, -0.0, 5e-13, -5e-13, 1.5e-12, 2.5e-12, 1e300, -1e300],
-        ])
-        with np.errstate(over="ignore"):
-            expected = np.round(values, 12).tolist()
-        got = [_round12(v) for v in values.tolist()]
-        assert got == expected
+    def test_tiny_component_keeps_its_images(self):
+        # a period-two block row with ln x ~ 1e-13: no rounding merges its
+        # two images, the field and the one with the free components swapped
+        p = ModelParams(q=3, k=3, theta=0.1)
+        x = 1.0 + 1e-13
+        sol = ReducedScalar(x=x, y=1.0 / x, set_id=InvariantSetId(SetKind.IM, 1))
+        embed_full(sol, p)
+        assert sol.residual_full <= 1e-13
+        assert classify(sol, p) == Classification.PERIOD_TWO
+        orbit = orbit_expand(sol, p)
+        assert [d.origin_permutation for d in orbit] == [(0, 1), (1, 0)]
+        lx, ly = math.log(x), math.log(1.0 / x)
+        assert orbit[1].field.even == (0.0, lx) and orbit[1].field.odd == (0.0, ly)
 
 
 class TestCounts:

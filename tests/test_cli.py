@@ -264,15 +264,16 @@ class TestVerify:
                          "--theta", "0.1", "--set", "im:1", "--depth", "2")
         assert code == 3
 
-    def test_seed_is_accepted_and_selects_nothing(self, capsys):
-        argv = ("verify", "--q", "3", "--k", "3", "--theta", "0.1", "--set", "all")
-        plain = run(capsys, *argv)
-        assert plain == run(capsys, *argv, "--seed", "7")
-        assert plain[0] == 0
-        assert plain[1].count("all configurations, depth 2") == 9
+    def test_seed_is_a_usage_error(self, capsys):
+        # every configuration is checked, so there is no --seed to select them
+        for value in ("7", "-1"):
+            code, out, err = run(capsys, "verify", "--q", "3", "--k", "3",
+                                 "--theta", "0.1", "--set", "all", "--seed", value)
+            assert code == 64 and out == ""
+            assert err.endswith(f"error: unrecognized arguments: --seed {value}\n")
 
     @pytest.mark.parametrize("flag,value", [
-        ("--seed", "-1"), ("--tol", "nan"), ("--tol", "-1"),
+        ("--tol", "nan"), ("--tol", "-1"),
     ])
     def test_invalid_inputs_are_parameter_errors(self, capsys, flag, value):
         code, out, err = run(capsys, "verify", "--q", "3", "--k", "3",
@@ -394,7 +395,7 @@ usage: gibbstree solve [-h] --q Q --k K [--theta THETA] [--coupling COUPLING]
 VERIFY_USAGE = """\
 usage: gibbstree verify [-h] --q Q --k K [--theta THETA] [--coupling COUPLING]
                         [--temp TEMP] [--set SET] [--depth DEPTH] [--tol TOL]
-                        [--seed SEED] [--json]
+                        [--json]
 """
 MODEL_OPTIONS = """\
   --q Q                number of spin states
@@ -447,8 +448,6 @@ options:
                        1 fails every period-two solution by design, since the
                        root has k+1 children
   --tol TOL
-  --seed SEED          accepted for older command lines; selects nothing,
-                       since every configuration is checked
   --json
 """,
     "plot": """\
@@ -528,9 +527,7 @@ class TestRuntimeDependencies:
     def test_solve_sweep_count_and_plot_do_not_import_numpy(self, tmp_path):
         # verify comes last, so a check that needed numpy there could not
         # hide behind an earlier command's import
-        script = (
-            "import sys\n"
-            "from gibbstree.cli import main\n"
+        commands = (
             "d = sys.argv[1]\n"
             "assert main(['solve', '--q', '4', '--k', '5', '--theta', '0.2', '--set', 'all',"
             " '--json']) == 0\n"
@@ -539,12 +536,40 @@ class TestRuntimeDependencies:
             " '--svg', d + '/s.svg']) == 0\n"
             "assert main(['count', '--q', '7', '--json']) == 0\n"
             "assert main(['plot', '--csv', d + '/s.csv', '--out', d + '/p.svg']) == 0\n"
+        )
+        verify = ("assert main(['verify', '--q', '3', '--k', '3', '--theta', '0.1',"
+                  " '--set', 'all']) == 0\n")
+        script = (
+            "import sys\n"
+            "from gibbstree.cli import main\n"
+            + commands +
             "if 'numpy' in sys.modules:\n"
             "    sys.exit('numpy was imported')\n"
-            "assert main(['verify', '--q', '3', '--k', '3', '--theta', '0.1', '--set', 'all']) == 0\n"
+            + verify +
             "assert 'numpy' not in sys.modules\n"
         )
         proc = run_fresh(script, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        # with numpy unimportable, every command and the library's field API
+        blocked = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from gibbstree import (ModelParams, PeriodTwoField, build_tree,"
+            " check_consistency, classify, compat_map, orbit_expand, solve_im)\n"
+            "from gibbstree.cli import main\n"
+            "from gibbstree.model import as_field, period2_residual\n"
+            + commands + verify +
+            "p = ModelParams(q=3, k=3, theta=0.1)\n"
+            "sol = solve_im(p, 1)[0]\n"
+            "assert classify(sol, p).value == 'P2' and len(orbit_expand(sol, p)) == 2\n"
+            "assert max(map(abs, sum(period2_residual(sol.full_field, p), ()))) < 1e-9\n"
+            "h = as_field([0.5, -1.0], 3)\n"
+            "half = PeriodTwoField(h, [p.k * v for v in compat_map(h, p)])\n"
+            "tree = build_tree(3, 2)\n"
+            "assert check_consistency(tree, p, sol.full_field).passed\n"
+            "assert not check_consistency(tree, p, half).passed\n"
+        )
+        proc = run_fresh(blocked, tmp_path)
         assert proc.returncode == 0, proc.stderr
 
     def test_commands_do_not_import_fractions_or_decimal(self, tmp_path):

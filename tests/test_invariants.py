@@ -385,8 +385,8 @@ class TestEmbedding:
         sol = ReducedScalar(x=2.0, y=3.0,
                             set_id=InvariantSetId(SetKind.IM, 2))
         fld = embed_full(sol, p)
-        assert np.allclose(fld.h_even, [math.log(2.0), math.log(2.0), 0.0])
-        assert np.allclose(fld.h_odd, [math.log(3.0), math.log(3.0), 0.0])
+        assert np.allclose(fld.even, [math.log(2.0), math.log(2.0), 0.0])
+        assert np.allclose(fld.odd, [math.log(3.0), math.log(3.0), 0.0])
 
     def test_im_prime_pattern(self):
         p = ModelParams(q=7, k=7, theta=0.1)
@@ -394,15 +394,15 @@ class TestEmbedding:
                             set_id=InvariantSetId(SetKind.IM_PRIME, 2))
         fld = embed_full(sol, p)
         lx, ly = math.log(2.0), math.log(3.0)
-        assert np.allclose(fld.h_even, [lx, lx, 0.0, 0.0, ly, ly])
-        assert np.allclose(fld.h_odd, [ly, ly, 0.0, 0.0, lx, lx])
+        assert np.allclose(fld.even, [lx, lx, 0.0, 0.0, ly, ly])
+        assert np.allclose(fld.odd, [ly, ly, 0.0, 0.0, lx, lx])
 
     def test_unit_point_embeds_to_zero(self):
         p = ModelParams(q=3, k=3, theta=0.3)
         sol = ReducedScalar(x=1.0, y=1.0,
                             set_id=InvariantSetId(SetKind.IM, 1))
         fld = embed_full(sol, p)
-        assert np.all(fld.h_even == 0.0) and np.all(fld.h_odd == 0.0)
+        assert np.all(np.asarray(fld.even) == 0.0) and np.all(np.asarray(fld.odd) == 0.0)
 
     def test_embed_fills_residual(self):
         p = ModelParams(q=3, k=3, theta=0.3)
@@ -433,7 +433,7 @@ class TestPatternPreservation:
                     sol = ReducedScalar(x=x, y=y, z=x ** (1 / p.k), t=y ** (1 / p.k),
                                         set_id=InvariantSetId(kind, m))
                 fld = embed_full(sol, p)
-                out = p.k * compat_map(fld.h_even, p)
+                out = p.k * np.asarray(compat_map(fld.even, p))
                 lead = out[:m]
                 assert np.max(np.abs(lead - lead[0])) <= 1e-12
                 if kind == SetKind.IM:

@@ -61,22 +61,27 @@ class TestModelParams:
 class TestFieldTypes:
     def test_as_field_roundtrip(self):
         v = as_field([0.5, -1.0], 3)
-        assert v.shape == (2,)
-        assert v.dtype == np.float64
+        assert v == (0.5, -1.0)
+        assert all(type(x) is float for x in as_field(np.array([1, 2]), 3))
 
     def test_as_field_rejects(self):
         with pytest.raises(ShapeError):
             as_field([1.0, 2.0, 3.0], 3)
+        with pytest.raises(ShapeError):
+            as_field("12", 3)
         with pytest.raises(DomainError):
             as_field([1.0, float("inf")], 3)
 
     def test_period_two_field(self):
         f = PeriodTwoField.zero(4)
         assert f.q == 4
-        assert np.all(f.h_even == 0.0) and np.all(f.h_odd == 0.0)
+        assert f.even == (0.0, 0.0, 0.0) and f.odd == (0.0, 0.0, 0.0)
         g = PeriodTwoField(h_even=np.array([1.0, 2.0]), h_odd=np.array([3.0, 4.0]))
         s = g.swapped()
-        assert np.all(s.h_even == g.h_odd) and np.all(s.h_odd == g.h_even)
+        assert s.even == g.odd and s.odd == g.even
+        f = PeriodTwoField(h_even=[0.5, -1.0], h_odd=(1, 2))
+        assert f.even == (0.5, -1.0) and f.odd == (1.0, 2.0)
+        assert all(type(v) is float for v in f.even + f.odd)
 
     def test_period_two_field_rejects(self):
         with pytest.raises(ShapeError):
@@ -91,19 +96,8 @@ class TestFieldTypes:
             PeriodTwoField(h_even=1.0, h_odd=2.0)
         with pytest.raises(ShapeError):
             PeriodTwoField(h_even=[], h_odd=[])
-
-    def test_vectors_are_read_only(self):
-        f = PeriodTwoField.zero(3)
-        with pytest.raises(ValueError):
-            f.h_even[0] = 1.0
-
-    def test_arrays_are_built_once_from_the_components(self):
-        f = PeriodTwoField(h_even=[0.5, -1.0], h_odd=(1, 2))
-        assert f.even == (0.5, -1.0) and f.odd == (1.0, 2.0)
-        assert all(type(v) is float for v in f.even + f.odd)
-        assert f.h_even is f.h_even and f.h_odd is f.h_odd
-        assert f.h_even.dtype == np.float64 and f.h_even.tolist() == [0.5, -1.0]
-        assert f.h_odd.tolist() == [1.0, 2.0]
+        with pytest.raises(ShapeError):
+            PeriodTwoField(h_even="12", h_odd=b"34")
 
     def test_fields_are_frozen(self):
         f = PeriodTwoField.zero(3)
@@ -132,7 +126,7 @@ class TestCompatMap:
     def test_zero_field_fixed_point(self):
         for q, theta in [(3, 0.1), (3, 0.9), (5, 0.3), (7, 0.75)]:
             p = ModelParams(q=q, k=3, theta=theta)
-            out = compat_map(np.zeros(q - 1), p)
+            out = np.asarray(compat_map(np.zeros(q - 1), p))
             assert np.all(out == 0.0)
 
     def test_hand_value(self):
@@ -147,7 +141,7 @@ class TestCompatMap:
         rng = np.random.default_rng(7)
         for _ in range(10):
             h = rng.normal(size=3)
-            assert np.all(compat_map(h, p) == 0.0)
+            assert np.all(np.asarray(compat_map(h, p)) == 0.0)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(11)
@@ -157,7 +151,7 @@ class TestCompatMap:
             h = rng.normal(scale=2.0, size=q - 1)
             perm = rng.permutation(q - 1)
             lhs = compat_map(h[perm], p)
-            rhs = compat_map(h, p)[perm]
+            rhs = np.asarray(compat_map(h, p))[perm]
             assert np.allclose(lhs, rhs, rtol=0, atol=1e-14)
 
     def test_large_components_stay_finite(self):
@@ -206,8 +200,8 @@ class TestFloatKernel:
             f_even, tol_even = _compat_mp(h_even.tolist(), p.theta)
             f_odd, tol_odd = _compat_mp(h_odd.tolist(), p.theta)
             out = compat_map(h_even, p)
-            assert isinstance(out, np.ndarray) and out.shape == (q - 1,)
-            for got, want, tol in zip(out.tolist(), f_even, tol_even):
+            assert isinstance(out, tuple) and len(out) == q - 1
+            for got, want, tol in zip(out, f_even, tol_even):
                 assert abs(got - want) <= 4 * math.ulp(tol)
             res = residual_norm(PeriodTwoField(h_even, h_odd), p)
             with mp.workdps(50):
@@ -226,7 +220,7 @@ class TestFloatKernel:
             scale = float(rng.choice([1.0, 10.0, 700.0]))
             h = rng.uniform(-scale, scale, size=q - 1)
             want, tol = _compat_mp(h.tolist(), theta)
-            got = compat_map(h, ModelParams(q=q, k=3, theta=theta)).tolist()
+            got = compat_map(h, ModelParams(q=q, k=3, theta=theta))
             for g, w, t in zip(got, want, tol):
                 assert abs(g - w) <= 4 * math.ulp(t), (q, theta, h.tolist())
 
@@ -238,7 +232,7 @@ class TestFloatKernel:
 class TestPeriod2Residual:
     def test_zero_field(self):
         p = ModelParams(q=3, k=3, theta=0.3)
-        r_even, r_odd = period2_residual(PeriodTwoField.zero(3), p)
+        r_even, r_odd = map(np.asarray, period2_residual(PeriodTwoField.zero(3), p))
         assert np.all(r_even == 0.0) and np.all(r_odd == 0.0)
         assert residual_norm(PeriodTwoField.zero(3), p) == 0.0
 
@@ -301,7 +295,7 @@ class TestFiniteVolumeWeight:
             relabel = {i + 1: perm[i] + 1 for i in range(3)}
             relabel[4] = 4
             config2 = {v: relabel[s] for v, s in config.items()}
-            f2 = PeriodTwoField(h_even=f.h_even[perm], h_odd=f.h_odd[perm])
+            f2 = PeriodTwoField(h_even=np.asarray(f.even)[perm], h_odd=np.asarray(f.odd)[perm])
             w1 = finite_volume_log_weight(config, edges, boundary, f2, p)
             w2 = finite_volume_log_weight(config2, edges, boundary, f, p)
             assert w1 == pytest.approx(w2, abs=1e-12)

@@ -143,7 +143,7 @@ class TestCheckConsistency:
     def test_perturbed_solution_fails(self, p33):
         sol = solve_im(p33, 1)[0]
         fld = sol.full_field
-        bad = PeriodTwoField(h_even=fld.h_even + 0.1, h_odd=fld.h_odd.copy())
+        bad = PeriodTwoField(h_even=np.asarray(fld.even) + 0.1, h_odd=fld.odd)
         tree = build_tree(3, 2)
         report = check_consistency(tree, p33, bad, tol=1e-6)
         assert not report.passed
@@ -178,7 +178,7 @@ class TestCheckConsistency:
         # h_odd = k F(h_even) holds exactly but h_even = k F(h_odd) does not;
         # a single-order check at even depth would pass this field
         h_even = np.array([0.7, -0.3])
-        half = PeriodTwoField(h_even, p33.k * compat_map(h_even, p33))
+        half = PeriodTwoField(h_even, p33.k * np.asarray(compat_map(h_even, p33)))
         assert residual_norm(half, p33) > 0.1
         tree = build_tree(3, n)
         for field in (half, half.swapped()):
@@ -210,9 +210,9 @@ def _test_fields(params: ModelParams, rng: np.random.Generator) -> list[PeriodTw
     sols = [s.full_field for s in solve_im(params, 1)]
     q = params.q
     return [PeriodTwoField.zero(q), *sols,
-            PeriodTwoField(sols[0].h_even + 1e-3, sols[0].h_odd.copy()),
-            PeriodTwoField(sols[-1].h_even + rng.normal(size=q - 1),
-                           sols[-1].h_odd + rng.normal(size=q - 1))]
+            PeriodTwoField(np.asarray(sols[0].even) + 1e-3, sols[0].odd),
+            PeriodTwoField(np.asarray(sols[-1].even) + rng.normal(size=q - 1),
+                           np.asarray(sols[-1].odd) + rng.normal(size=q - 1))]
 
 
 def _sampled_rows(q: int, n_inner: int, seed: int) -> list[list[int]]:
@@ -236,9 +236,9 @@ class TestExhaustiveEnumeration:
         tree = build_tree(k, n)
         sols = [s.full_field for s in solve_im(p, 1)]
         fields = [*sols,
-                  PeriodTwoField(sols[0].h_even + 0.1, sols[0].h_odd),
-                  PeriodTwoField(sols[-1].h_even + rng.normal(size=q - 1),
-                                 sols[-1].h_odd + rng.normal(size=q - 1))]
+                  PeriodTwoField(np.asarray(sols[0].even) + 0.1, sols[0].odd),
+                  PeriodTwoField(np.asarray(sols[-1].even) + rng.normal(size=q - 1),
+                                 np.asarray(sols[-1].odd) + rng.normal(size=q - 1))]
         for field in fields:
             report = check_consistency(tree, p, field, tol=1e-8)
             expected = relative_spread_by_enumeration(k, n, p, field)
@@ -275,7 +275,8 @@ class TestFactorizedBoundarySum:
         tree = build_tree(3, n)
         sol = solve_im(p33, 1)
         fields = [sol[1].full_field, sol[0].full_field,
-                  PeriodTwoField(sol[0].full_field.h_even + 1e-3, sol[0].full_field.h_odd)]
+                  PeriodTwoField(np.asarray(sol[0].full_field.even) + 1e-3,
+                                 sol[0].full_field.odd)]
         verdicts = set()
         for field in fields:
             report = check_consistency(tree, p33, field, tol=1e-6)
@@ -300,7 +301,8 @@ class TestTiedToModel:
     @staticmethod
     def _fields(p: ModelParams) -> list[PeriodTwoField]:
         sol = solve_im(p, 1)[0].full_field
-        return [sol, sol.swapped(), PeriodTwoField(sol.h_even + 0.25, -sol.h_odd)]
+        return [sol, sol.swapped(),
+                PeriodTwoField(np.asarray(sol.even) + 0.25, -np.asarray(sol.odd))]
 
     @staticmethod
     def _closed_form_gap(tree, g: list[float], row: list[int]) -> float:
@@ -371,7 +373,7 @@ class TestDeepBalls:
         # the per-spin gaps depend on the depth only through its parity, and
         # both parities are checked, so the width cancels from the error
         fld = fields["P2 block"]
-        bad = PeriodTwoField(h_even=fld.h_even + 1e-3, h_odd=fld.h_odd.copy())
+        bad = PeriodTwoField(h_even=np.asarray(fld.even) + 1e-3, h_odd=fld.odd)
         errors = [check_consistency(build_tree(3, n), p33, bad).max_relative_error
                   for n in range(2, 12)]
         assert errors == pytest.approx([errors[0]] * len(errors), rel=1e-14)
@@ -379,7 +381,7 @@ class TestDeepBalls:
 
     def test_perturbed_field_fails_depth_six(self, p33, fields):
         fld = fields["P2 block"]
-        bad = PeriodTwoField(h_even=fld.h_even + 1e-3, h_odd=fld.h_odd.copy())
+        bad = PeriodTwoField(h_even=np.asarray(fld.even) + 1e-3, h_odd=fld.odd)
         report = check_consistency(build_tree(3, 6), p33, bad, tol=1e-8)
         assert not report.passed
         assert report.max_relative_error > 1e-5

@@ -44,15 +44,15 @@ def _fields(params: ModelParams, rng: np.random.Generator, perturb: bool) -> lis
         sols = [s.full_field for s in solve_set(params, set_id)]
         out += [(f"{set_id.label()} sol {i}", f) for i, f in enumerate(sols)]
         if perturb:
-            h_even = sols[0].h_even + 1e-3 * rng.normal(size=params.q - 1)
-            out.append((f"{set_id.label()} perturbed", PeriodTwoField(h_even, sols[0].h_odd)))
+            h_even = np.asarray(sols[0].even) + 1e-3 * rng.normal(size=params.q - 1)
+            out.append((f"{set_id.label()} perturbed", PeriodTwoField(h_even, sols[0].odd)))
     return out
 
 
 def _case(q: int, k: int, theta: float, depth: int, label: str,
           f: PeriodTwoField) -> list:
     return [q, k, theta.hex(), depth, label,
-            [v.hex() for v in f.h_even.tolist()], [v.hex() for v in f.h_odd.tolist()]]
+            [v.hex() for v in f.even], [v.hex() for v in f.odd]]
 
 
 def corpus_cases() -> list[list]:
