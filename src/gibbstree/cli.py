@@ -161,6 +161,8 @@ def cmd_count(args, parser) -> int:
 
 def cmd_verify(args, parser) -> int:
     params = _params_from(args, parser)
+    if args.seed < 0:
+        raise ParameterError(f"seed must be a nonnegative integer, got {args.seed!r}")
     tree = build_tree(params.k, args.depth)
     all_passed = True
     results = []
@@ -229,6 +231,9 @@ def _verify_options(p: argparse.ArgumentParser) -> None:
                         "depth 1 fails every period-two solution by design, "
                         "since the root has k+1 children")
     p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--seed", type=int, default=0,
+                   help="accepted for older command lines; selects nothing, "
+                        "since every configuration is checked")
     p.add_argument("--json", action="store_true")
 
 

@@ -264,16 +264,15 @@ class TestVerify:
                          "--theta", "0.1", "--set", "im:1", "--depth", "2")
         assert code == 3
 
-    def test_seed_is_a_usage_error(self, capsys):
-        # every configuration is checked, so there is no --seed to select them
-        for value in ("7", "-1"):
-            code, out, err = run(capsys, "verify", "--q", "3", "--k", "3",
-                                 "--theta", "0.1", "--set", "all", "--seed", value)
-            assert code == 64 and out == ""
-            assert err.endswith(f"error: unrecognized arguments: --seed {value}\n")
+    def test_seed_is_accepted_and_selects_nothing(self, capsys):
+        argv = ("verify", "--q", "3", "--k", "3", "--theta", "0.1", "--set", "all")
+        plain = run(capsys, *argv)
+        assert plain == run(capsys, *argv, "--seed", "7")
+        assert plain[0] == 0
+        assert plain[1].count("all configurations, depth 2") == 9
 
     @pytest.mark.parametrize("flag,value", [
-        ("--tol", "nan"), ("--tol", "-1"),
+        ("--seed", "-1"), ("--tol", "nan"), ("--tol", "-1"),
     ])
     def test_invalid_inputs_are_parameter_errors(self, capsys, flag, value):
         code, out, err = run(capsys, "verify", "--q", "3", "--k", "3",
@@ -395,7 +394,7 @@ usage: gibbstree solve [-h] --q Q --k K [--theta THETA] [--coupling COUPLING]
 VERIFY_USAGE = """\
 usage: gibbstree verify [-h] --q Q --k K [--theta THETA] [--coupling COUPLING]
                         [--temp TEMP] [--set SET] [--depth DEPTH] [--tol TOL]
-                        [--json]
+                        [--seed SEED] [--json]
 """
 MODEL_OPTIONS = """\
   --q Q                number of spin states
@@ -448,6 +447,8 @@ options:
                        1 fails every period-two solution by design, since the
                        root has k+1 children
   --tol TOL
+  --seed SEED          accepted for older command lines; selects nothing,
+                       since every configuration is checked
   --json
 """,
     "plot": """\
