@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence, Set
 
 from .errors import DomainError, HypothesisError, ParameterError, ShapeError
 
@@ -48,8 +48,12 @@ class ModelParams:
 
 
 def _components(values) -> tuple[float, ...]:
-    """A one-dimensional field vector as a tuple of floats."""
-    if isinstance(values, (str, bytes)):
+    """A one-dimensional field vector as a tuple of floats.
+
+    Strings, mappings and sets are refused: iterating them gives characters,
+    keys, or elements in hash order, not the components of a vector.
+    """
+    if isinstance(values, (str, bytes, Mapping, Set)):
         raise ShapeError(f"field vectors must be sequences of numbers, got {values!r}")
     if getattr(values, "ndim", 1) != 1:
         raise ShapeError(f"field vectors must be one-dimensional, got shape {values.shape}")

@@ -107,7 +107,6 @@ class ConsistencyReport:
     max_relative_error: float
     pairs_checked: int
     n: int
-    tolerance: float
 
 
 def _spin_gaps(tree: FiniteTree, params: ModelParams, field: PeriodTwoField) -> list[float]:
@@ -162,7 +161,6 @@ def check_consistency(tree: FiniteTree, params: ModelParams, field: PeriodTwoFie
         max_relative_error=err,
         pairs_checked=params.q,
         n=tree.n,
-        tolerance=tol,
     )
 
 

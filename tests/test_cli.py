@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import gibbstree
-from gibbstree import ModelParams, oracle
+from gibbstree import ConvergenceError, ModelParams, oracle, sweep
 from gibbstree.sweep import CSV_HEADER, parse_set_spec, read_csv, rows_for
 from gibbstree.cli import build_parser, main
 
@@ -103,6 +103,16 @@ class TestSolve:
                            "--coupling", "1", "--temp", "1e-3")
         assert code == 2
         assert "overflows" in err
+
+    def test_solver_failure_is_an_internal_error(self, capsys, monkeypatch):
+        def fail(params, m):
+            raise ConvergenceError("root polynomial is not certified squarefree")
+
+        monkeypatch.setattr(sweep, "solve_im", fail)
+        code, out, err = run(capsys, "solve", "--q", "3", "--k", "3",
+                             "--theta", "0.1", "--set", "im:1")
+        assert (code, out) == (1, "")
+        assert err == "gibbstree: error: root polynomial is not certified squarefree\n"
 
     @pytest.mark.parametrize("coupling,temp", [("0", "1e-320"), ("-1", "inf")])
     def test_coupling_temperature_giving_theta_one(self, capsys, coupling, temp):
@@ -264,15 +274,8 @@ class TestVerify:
                          "--theta", "0.1", "--set", "im:1", "--depth", "2")
         assert code == 3
 
-    def test_seed_is_accepted_and_selects_nothing(self, capsys):
-        argv = ("verify", "--q", "3", "--k", "3", "--theta", "0.1", "--set", "all")
-        plain = run(capsys, *argv)
-        assert plain == run(capsys, *argv, "--seed", "7")
-        assert plain[0] == 0
-        assert plain[1].count("all configurations, depth 2") == 9
-
     @pytest.mark.parametrize("flag,value", [
-        ("--seed", "-1"), ("--tol", "nan"), ("--tol", "-1"),
+        ("--tol", "nan"), ("--tol", "-1"),
     ])
     def test_invalid_inputs_are_parameter_errors(self, capsys, flag, value):
         code, out, err = run(capsys, "verify", "--q", "3", "--k", "3",
@@ -293,6 +296,10 @@ class TestPlot:
                            "--out", str(svg_path))
         assert code == 0
         assert svg_path.read_text().startswith("<svg")
+        code, out, _ = run(capsys, "plot", "--csv", str(csv_path),
+                           "--out", str(svg_path), "--json")
+        assert code == 0
+        assert json.loads(out) == {"rows": 7, "out": str(svg_path)}
 
     def test_missing_input(self, capsys, tmp_path):
         code, _, _ = run(capsys, "plot", "--csv", str(tmp_path / "no.csv"),
@@ -394,7 +401,7 @@ usage: gibbstree solve [-h] --q Q --k K [--theta THETA] [--coupling COUPLING]
 VERIFY_USAGE = """\
 usage: gibbstree verify [-h] --q Q --k K [--theta THETA] [--coupling COUPLING]
                         [--temp TEMP] [--set SET] [--depth DEPTH] [--tol TOL]
-                        [--seed SEED] [--json]
+                        [--json]
 """
 MODEL_OPTIONS = """\
   --q Q                number of spin states
@@ -447,8 +454,6 @@ options:
                        1 fails every period-two solution by design, since the
                        root has k+1 children
   --tol TOL
-  --seed SEED          accepted for older command lines; selects nothing,
-                       since every configuration is checked
   --json
 """,
     "plot": """\
@@ -493,8 +498,10 @@ class TestPinnedText:
          + "gibbstree solve: error: provide either --theta or both --coupling and --temp\n"),
         (["verify", "--q", "3", "--k", "3", "--coupling", "1", "--temp", "0"], VERIFY_USAGE
          + "gibbstree verify: error: --temp must be positive\n"),
+        (["verify", "--q", "3", "--k", "3", "--theta", "0.1", "--seed", "7"], TOP_USAGE
+         + "gibbstree: error: unrecognized arguments: --seed 7\n"),
     ], ids=["unknown-command", "missing-required", "bad-int", "unknown-option",
-            "theta-and-coupling", "no-temperature", "temp-not-positive"])
+            "theta-and-coupling", "no-temperature", "temp-not-positive", "removed-seed"])
     def test_usage_error(self, capsys, argv, err):
         assert run(capsys, *argv) == (64, "", err)
 

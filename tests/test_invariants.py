@@ -52,6 +52,8 @@ class TestInvariantSetId:
             InvariantSetId(SetKind.IM_PRIME, 2).validate_for(4)
         with pytest.raises(ParameterError):
             InvariantSetId(SetKind.IM, 0).validate_for(3)
+        with pytest.raises(ParameterError):
+            InvariantSetId("im", 1)
 
 
 class TestMobiusMap:
@@ -377,6 +379,21 @@ class TestPolyPow:
     def test_zero_constant_term_rejected(self):
         with pytest.raises(ParameterError):
             _poly_pow([0, 1, 2], 3)
+
+
+class TestReducedScalar:
+    @pytest.mark.parametrize("kwargs, error", [
+        (dict(x=0.0, y=1.0), DomainError),
+        (dict(x=1.0, y=math.inf), DomainError),
+        (dict(x=1.0, y=1.0, mirror=True), ParameterError),
+        (dict(x=1.0, y=1.0, z=1.0, t=-1.0, mirror=True), DomainError),
+        (dict(x=1.0, y=1.0, z=1.0, t=1.0), ParameterError),
+    ], ids=["x-not-positive", "y-not-finite", "mirror-without-z-t",
+            "t-not-positive", "block-with-z-t"])
+    def test_rejects(self, kwargs, error):
+        kind = SetKind.IM_PRIME if kwargs.pop("mirror", False) else SetKind.IM
+        with pytest.raises(error):
+            ReducedScalar(set_id=InvariantSetId(kind, 1), **kwargs)
 
 
 class TestEmbedding:

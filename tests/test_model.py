@@ -69,6 +69,10 @@ class TestFieldTypes:
             as_field([1.0, 2.0, 3.0], 3)
         with pytest.raises(ShapeError):
             as_field("12", 3)
+        with pytest.raises(ShapeError):
+            as_field({1.0: 2, 2.0: 3}, 3)
+        with pytest.raises(ShapeError):
+            as_field({1.0, 2.0}, 3)
         with pytest.raises(DomainError):
             as_field([1.0, float("inf")], 3)
 
@@ -98,6 +102,10 @@ class TestFieldTypes:
             PeriodTwoField(h_even=[], h_odd=[])
         with pytest.raises(ShapeError):
             PeriodTwoField(h_even="12", h_odd=b"34")
+        with pytest.raises(ShapeError):
+            PeriodTwoField(h_even={0.5: "a", -1.0: "b"}, h_odd=[3.0, 4.0])
+        with pytest.raises(ShapeError):
+            PeriodTwoField(h_even=[0.5, -1.0], h_odd={3, 4})
 
     def test_fields_are_frozen(self):
         f = PeriodTwoField.zero(3)

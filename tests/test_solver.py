@@ -524,6 +524,24 @@ class TestExactRootIsolation:
         with pytest.raises(ConvergenceError):
             _certified_roots(_poly(*factors))
 
+    def test_roots_closer_than_a_float_spacing(self, monkeypatch):
+        # (3x-1)(3*2^70 x - 2^70 - 3): the roots 1/3 and 1/3 + 2^-70 part only
+        # past _CERT_DEPTH, after one certificate, in brackets with integer-pair
+        # ends; both round to the float nearest 1/3
+        c = _poly([-1, 3], [-(2**70) - 3, 3 * 2**70])
+        certified = []
+        require = exact._require_squarefree
+        monkeypatch.setattr(exact, "_require_squarefree",
+                            lambda coeffs: certified.append(coeffs) or require(coeffs))
+        (lo0, hi0, s0), (lo1, hi1, s1) = exact._isolate_unit_interval(c)
+        assert certified == [c]
+        assert all(isinstance(end, tuple) for end in (lo0, hi0, lo1, hi1))
+        assert (s0, s1) == (1, -1)
+        third = Fraction(1, 3)
+        assert (Fraction(*lo0) < third < Fraction(*hi0) == Fraction(*lo1)
+                < third + Fraction(1, 2**70) < Fraction(*hi1))
+        assert _certified_roots(c) == [1 / 3, 1 / 3]
+
     def test_repeated_negative_root_is_ignored(self):
         # (x+1)^2 (3x-1): Descartes' counts settle (0, 1) and (1, inf) before
         # any repeated root matters, so no certificate runs
@@ -1143,6 +1161,41 @@ class TestBlockNearCritical:
         for theta in (t_cr, t_cr * (1.0 + 1e-8), 0.9 * t_cr + 0.1):
             sols = solve_im(ModelParams(q=q, k=k, theta=theta), m)
             assert [s.x for s in sols] == [1.0], theta
+
+
+class TestFlipLaw:
+    def test_branch_width_follows_the_flip_law(self):
+        """Non-unit roots next to 1 at theta = theta_cr (1 - eps), against a closed form.
+
+        With eta = ((1 - x_low) + (x_high - 1)) / 2, x_low and x_high the
+        non-unit x nearest 1 on each side,
+
+            eta^2 = 12 k (k+1) (theta_cr - theta) / (q' (k-1)) + O((theta_cr - theta)^2)
+
+        with q' = q for block sets: theta_cr is a supercritical flip of
+        F = f^k at x = 1, with F'(1) = k (theta-1)/(theta+q-1), normal-form
+        coefficient (k^2-1)/(12 k^2) and d(alpha)/d(theta) = -(k+1)^2/(k q).
+        For mirror sets, q' = q + 6m is a conjecture, checked here and not
+        derived.  The relative error is O(eps); it grows with k for block
+        sets (33 eps at q=3, k=16, m=1), hence k <= 9 and the bounds 30 eps
+        (block, measured at most 17.4 eps) and 3 eps (mirror, 1.24 eps).
+        """
+        for eps in (1e-6, 1e-7, 1e-8):
+            for k in range(3, 10):
+                for q in range(3, k + 1):
+                    theta = theta_critical(q, k) * (1.0 - eps)
+                    p = ModelParams(q=q, k=k, theta=theta)
+                    gap = float(Fraction(k - q + 1, k + 1) - Fraction(theta))
+                    cases = [(m, q, 30, solve_im(p, m)) for m in range(1, q)]
+                    cases += [(m, q + 6 * m, 3, solve_im_prime(p, m)[0])
+                              for m in range(1, (q - 1) // 2 + 1)]
+                    for m, q_law, c, sols in cases:
+                        xs = [s.x for s in sols]
+                        x_low = max(x for x in xs if x < 1.0)
+                        x_high = min(x for x in xs if x > 1.0)
+                        eta = ((1.0 - x_low) + (x_high - 1.0)) / 2.0
+                        law = 12 * k * (k + 1) * gap / (q_law * (k - 1))
+                        assert abs(eta * eta / law - 1.0) <= c * eps, (q, k, m, q_law, eps)
 
 
 class TestBlockScanParity:
