@@ -6,16 +6,14 @@ k-th powers, reciprocals and ratio-map images are pairs with no common factor
 removed.  Points compare by cross-multiplication (_lt); every exact sign is
 taken at a dyadic point (_homogeneous).  No Fraction is formed.
 
-_shrink runs bracketed Laguerre steps (_laguerre) on exact signs, each a
-big-integer Horner pass, from a float seed: the same loop on float values of
-the coefficients, stopped where the float value falls within Horner's error
-bound (2n+1) 2^-53 sum |c_i| x^i of 0 (_float_seed).  Every end of the exact
-bracket still moves by an exact sign, so it holds the root whatever the seed
-(one outside it is ignored), and _nearest_float rounds inside any bracket
-that holds the root by exact signs: the seed changes how many exact passes
-run, never a root.  Every shrink bracket lies in (0, 1), where that bound is
-at most sum |c_i|, so it is accumulated only where |v| is below that sum
-padded for rounding.  The sign just inside lo comes from the isolation.
+Each root in (0, 1) takes three stages.  Descartes' rule isolates it by exact
+bisection, which also gives the sign just inside the bracket's low end
+(_isolate_unit_interval).  Bracketed Laguerre steps on float values of the
+coefficients give a float seed near it (_float_seed).  From the seed,
+_nearest_float gallops 1, 2, 4, ... ulps by exact signs until the root lies
+between two of its points, then bisects and rounds by exact signs.  Every end
+moves by an exact sign, so the seed changes how many signs are taken, never a
+root; without a seed inside the bracket the search is plain bisection.
 
 A block two-step sign first compares bounds of both sides from 96-bit heads
 (_head_sign); bounds that do not overlap order the sides themselves, so the
@@ -210,26 +208,6 @@ def _sign_at(coeffs: list[int], x) -> int:
     return (v > 0) - (v < 0)
 
 
-def _scaled_values(coeffs: list[int], x: float) -> tuple[int, float, float]:
-    """The exact sign of c at the float x, with c'(x)/c(x) and c''(x)/c(x) as floats (inf if none).
-
-    One exact Horner pass over 2^(e*n) c, 2^(e*(n-1)) c' and 2^(e*(n-2)) c''/2
-    at x = num / 2^e: a shift replaces each multiplication by 2^e.
-    """
-    num, den = x.as_integer_ratio()
-    e = den.bit_length() - 1
-    v, dv, d2v, shift = coeffs[-1], 0, 0, 0
-    for c in reversed(coeffs[:-1]):
-        shift += e
-        d2v = d2v * num + dv
-        dv = dv * num + v
-        v = v * num + (c << shift)
-    try:
-        return (v > 0) - (v < 0), (dv << e) / v, (d2v << (2 * e + 1)) / v
-    except (ZeroDivisionError, OverflowError):
-        return (v > 0) - (v < 0), math.inf, 0.0
-
-
 def _split(lo, hi) -> float | None:
     """A float strictly inside (lo, hi), geometric mean when hi > 4 lo > 0, or None."""
     flo, fhi = _to_float(lo), _to_float(hi)
@@ -240,28 +218,46 @@ def _split(lo, hi) -> float | None:
     return mid if _inside(lo, mid, hi) else None
 
 
-def _laguerre(values, n: int, lo, hi, s_lo: int, x: float | None):
-    """Bracketed Laguerre iteration from x for degree n; returns (lo, hi, stop).
+def _float_seed(coeffs: list[int], lo, hi, s_lo: int) -> float | None:
+    """A float inside (lo, hi) near its root by bracketed Laguerre steps on float values, or None.
 
-    values(x) is (s, G, r): the sign at x (0 where it is 0 or not known),
-    G = c'/c and r = c''/c; s moves an end to x.  The step is
-    n / (G +- sqrt((n-1)(nH - G^2))), H = G^2 - r, enlarging the denominator,
-    or Newton's 1/G where the radicand is negative or not finite (Numerical
-    Recipes, 9.5): exact for (x-a)^n, which is how c looks far from its roots.
-    A step that leaves the bracket or fails to halve the last one becomes a
-    bisection; one below half an ulp probes the neighbouring float.  Each
-    step moves an end strictly inward, so it ends: at s = 0 (stop = x) or
-    with no float left (stop = None).
+    s_lo is the sign just inside lo; the coefficients are scaled into float
+    range.  The step is n / (G +- sqrt((n-1)(nH - G^2))), G = c'/c,
+    H = G^2 - c''/c, enlarging the denominator, or Newton's 1/G where the
+    radicand is negative or not finite (Numerical Recipes, 9.5): exact for
+    (x-a)^n, which is how c looks far from its roots.  A step that leaves the
+    bracket or fails to halve the last one becomes a bisection; one below
+    half an ulp probes the neighbouring float.  Each float sign moves an end
+    strictly inward, and the loop stops where the float value falls within
+    Horner's error bound (2n+1) 2^-53 sum |c_i| x^i of 0, or with None once
+    no float is left.  Inside (0, 1) that bound is at most sum |c_i|, so it
+    is accumulated only where |v| is below that sum padded for rounding.
     """
+    n = len(coeffs) - 1
+    scale = 1 << max(0, max(abs(c).bit_length() for c in coeffs) - 960)
+    terms = [c / scale for c in reversed(coeffs)]
+    tol = (2 * n + 1) * 2.0 ** -53
+    # at 0 < x < 1 the float Horner bound is at most (1 + 2^-53)^(2n+1) sum |c_i|
+    cap = tol * math.fsum(map(abs, terms)) * (1.0 + (2 * n + 4) * 2.0 ** -52)
     last_step = math.inf
+    x = _split(lo, hi)
     while x is not None:
-        s, g, r = values(x)
-        if s == 0:
-            return lo, hi, x
-        if s == s_lo:
+        v, dv, d2v = 0.0, 0.0, 0.0
+        for c in terms:
+            d2v = d2v * x + dv
+            dv = dv * x + v
+            v = v * x + c
+        if abs(v) <= cap:
+            bound = 0.0
+            for c in terms:
+                bound = bound * x + abs(c)
+            if abs(v) <= tol * bound:
+                return x
+        if (v > 0.0) == (s_lo > 0):
             lo = x
         else:
             hi = x
+        g, r = dv / v, 2.0 * d2v / v
         radicand = (n - 1) * ((n - 1) * g * g - n * r)
         if radicand >= 0.0 and math.isfinite(radicand):
             num, den = n, g + math.copysign(math.sqrt(radicand), g)
@@ -278,50 +274,15 @@ def _laguerre(values, n: int, lo, hi, s_lo: int, x: float | None):
             if cand is not None:
                 last_step = abs(cand - x)
         x = cand if cand is not None and _inside(lo, cand, hi) else None
-    return lo, hi, None
+    return None
 
 
-def _float_seed(coeffs: list[int], lo, hi, s_lo: int) -> float | None:
-    """The float where _laguerre on float values (coefficients scaled into range) stops, or None."""
-    n = len(coeffs) - 1
-    scale = 1 << max(0, max(abs(c).bit_length() for c in coeffs) - 960)
-    terms = [c / scale for c in reversed(coeffs)]
-    tol = (2 * n + 1) * 2.0 ** -53
-    # at 0 < x < 1 the float Horner bound is at most (1 + 2^-53)^(2n+1) sum |c_i|
-    cap = tol * math.fsum(map(abs, terms)) * (1.0 + (2 * n + 4) * 2.0 ** -52)
-
-    def values(x: float) -> tuple[int, float, float]:
-        v, dv, d2v = 0.0, 0.0, 0.0
-        for c in terms:
-            d2v = d2v * x + dv
-            dv = dv * x + v
-            v = v * x + c
-        if abs(v) <= cap:
-            bound = 0.0
-            for c in terms:
-                bound = bound * x + abs(c)
-            if abs(v) <= tol * bound:
-                return 0, 0.0, 0.0
-        return (1 if v > 0.0 else -1), dv / v, 2.0 * d2v / v
-
-    return _laguerre(values, n, lo, hi, s_lo, _split(lo, hi))[2]
-
-
-def _shrink(coeffs: list[int], lo, hi, s_lo: int) -> tuple:
-    """Narrow the bracket (lo, hi) of one root of the polynomial to about one float spacing.
-
-    s_lo is the sign just inside lo.  Returns (lo, hi, s_lo); lo == hi, s_lo = 0
-    if a step lands on the root.  No float lies inside, except possibly one next
-    to an end that is not a float (_split can miss it).  The exact loop starts at
-    the float seed, or at _split(lo, hi) if the seed is None or outside.
-    """
-    if lo == hi:
-        return lo, hi, 0
-    x = _float_seed(coeffs, lo, hi, s_lo)
-    if x is None or not _inside(lo, x, hi):
-        x = _split(lo, hi)
-    lo, hi, root = _laguerre(partial(_scaled_values, coeffs), len(coeffs) - 1, lo, hi, s_lo, x)
-    return (lo, hi, s_lo) if root is None else (root, root, 0)
+def _seed_power(seed: float | None, e: int) -> float | None:
+    """seed**e, or None where there is no seed or the power raises (overflow, 0 to a negative power)."""
+    try:
+        return None if seed is None else seed ** e
+    except (OverflowError, ZeroDivisionError):
+        return None
 
 
 def _floats_around(lo, hi) -> tuple[float, float]:
@@ -334,20 +295,26 @@ def _floats_around(lo, hi) -> tuple[float, float]:
     return f_lo, f_hi
 
 
-def _nearest_float(sign, lo, hi, s_lo: int) -> float:
+def _nearest_float(sign, lo, hi, s_lo: int, seed: float | None = None) -> float:
     """The float nearest to the one root in [lo, hi] of an exact sign function.
 
     sign(x) is exact at every dyadic point; s_lo is its sign just inside
-    lo, and lo == hi means the root is lo.  Bisects over the floats strictly
-    inside (lo, hi), then picks the nearer of the two floats around what is
-    left by the exact sign at their midpoint, so the result does not depend
-    on how the bracket was found.  No sign is taken outside (lo, hi).
+    lo, and lo == hi means the root is lo.  From a float seed strictly
+    inside (lo, hi), steps of 1, 2, 4, ... ulps move away from it while the
+    root stays on the side its sign showed; a seed that is None, not finite
+    or outside is ignored.  Then bisection over the floats strictly inside
+    what is left, and the exact sign at the midpoint of the two floats
+    around the root picks the nearer.  Every end moves by an exact sign, so
+    the result depends neither on the seed nor on how the bracket was found.
+    No sign is taken outside (lo, hi).
     """
     if lo == hi:
         return _to_float(lo)
     # every float strictly between f_lo and f_hi lies strictly inside (lo, hi)
     f_lo, f_hi = _floats_around(lo, hi)
-    x = _split(f_lo, f_hi)
+    x, up, step = _split(f_lo, f_hi), None, 0.0
+    if seed is not None and f_lo < seed < f_hi:
+        x, step = seed, math.ulp(seed)
     while x is not None:
         s = sign(x)
         if s == 0:
@@ -356,6 +323,15 @@ def _nearest_float(sign, lo, hi, s_lo: int) -> float:
             lo = f_lo = x
         else:
             hi = f_hi = x
+        if step:
+            # gallop while the root stays on the side of the seed's sign; past
+            # the root or the bracket, bisect
+            up = s == s_lo if up is None else up
+            if up == (s == s_lo):
+                x, step = (x + step if up else x - step), 2.0 * step
+                if f_lo < x < f_hi:
+                    continue
+            step = 0.0
         x = _split(f_lo, f_hi)
     mid = _midpoint(f_lo, f_hi)
     if not _lt(lo, mid):
@@ -446,7 +422,7 @@ def _derived_roots(sign, image, sources: list[float], prev: float) -> list[float
 def _certified_roots(coeffs: list[int], partner=None, k: int = 1) -> list[float]:
     """Every positive root other than 1 of an integer polynomial, ascending, as nearest floats.
 
-    Divides out the root 1 with its multiplicity, then isolates and shrinks
+    Divides out the root 1 with its multiplicity, then isolates and seeds
     the roots in (0, 1); a bracket that reaches 0 is closed by the root
     bound of the reversed polynomial.  A repeated positive root raises
     ConvergenceError.  With k > 1 the coefficients are those of T (see
@@ -466,20 +442,24 @@ def _certified_roots(coeffs: list[int], partner=None, k: int = 1) -> list[float]
     flip = -1 if k > 1 and (len(coeffs) - len(deflated)) % 2 else 1
 
     def unit_brackets(c: list[int]) -> list[tuple]:
-        # the shrunk brackets (lo, hi, s_lo) of the roots of c in (0, 1), ascending
-        return [_shrink(c, lo or _dyadic(1, _root_bound(c[::-1])), hi, s)
-                for lo, hi, s in _isolate_unit_interval(c)]
+        # the brackets (lo, hi, s_lo, seed) of the roots of c in (0, 1), ascending
+        brackets = []
+        for lo, hi, s in _isolate_unit_interval(c):
+            lo = lo or _dyadic(1, _root_bound(c[::-1]))
+            brackets.append((lo, hi, s, _float_seed(c, lo, hi, s)))
+        return brackets
 
-    def nearest(lo, hi, s_lo: int) -> float:
+    def nearest(lo, hi, s_lo: int, seed: float | None) -> float:
         if k > 1:
             lo, hi = [tuple(v ** k for v in _ratio(end)) for end in (lo, hi)]
-        return _nearest_float(sign, lo, hi, s_lo)
+            seed = _seed_power(seed, k)
+        return _nearest_float(sign, lo, hi, s_lo, seed)
 
-    roots = [nearest(lo, hi, flip * s) for lo, hi, s in unit_brackets(deflated)]
+    roots = [nearest(lo, hi, flip * s, seed) for lo, hi, s, seed in unit_brackets(deflated)]
     above = _derived_roots(sign, partner, roots[::-1], 1.0) if partner else None
     if above is None:
         # w -> 1/w reverses each bracket, and with it the sign just inside
         # its low end; the swapped pairs keep the reciprocals exact
-        above = [nearest(_ratio(hi)[::-1], _ratio(lo)[::-1], -s)
-                 for lo, hi, s in reversed(unit_brackets(deflated[::-1]))]
+        above = [nearest(_ratio(hi)[::-1], _ratio(lo)[::-1], -s, _seed_power(seed, -1))
+                 for lo, hi, s, seed in reversed(unit_brackets(deflated[::-1]))]
     return roots + above
